@@ -1,8 +1,9 @@
 """Command-line front end with stable JSON output and a fixed exit-code contract.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 value not
-regular, 4 exponents not equivariant, 5 enumeration cap exceeded.  Identical
-invocations with identical configuration print byte-identical JSON.
+regular, 4 exponents not equivariant, 5 enumeration cap exceeded or out of
+memory (a cap raised past what the machine can hold).  Identical invocations
+with identical configuration print byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -223,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NOT_EQUIVARIANT
     except EnumerationCapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP_EXCEEDED
+    except MemoryError:
+        print("error: out of memory; lower the enumeration cap", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except (ValueError, NotEffectiveError, OSError, OrbidegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotEquivariantError, WeightMismatchError
 from .roots import RootOfUnity
-from .spaces import IsotropyGroup, WpsOrbifold, WpsPoint, isotropy
+from .spaces import WpsOrbifold, WpsPoint, isotropy
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,3 @@ def theta_at(f: MonomialMap, x: WpsPoint) -> ThetaHom:
     my = isotropy(underlying_image(f, x)).order
     return ThetaHom(mx, my, f.equivariance_degree)
 
-
-def chart_isotropy(f: MonomialMap, x: WpsPoint) -> tuple[IsotropyGroup, IsotropyGroup]:
-    """Isotropy groups at x and at its image, as a convenience pair."""
-    return isotropy(x), isotropy(underlying_image(f, x))

@@ -6,17 +6,17 @@ w, so the fibre's points are the cosets of the cyclic subgroup <w>.  This
 module enumerates one lexicographically minimal representative per coset.
 
 Tuples are encoded as mixed-radix integers with the first factor most
-significant, so lexicographic order on tuples is numeric order on codes and
-the whole enumeration runs on flat int64 arrays.  Two strategies keep the
-cost linear-ish in the fibre size N:
+significant, so lexicographic order on tuples is numeric order on codes.
 
-* small subgroup (order L <= 64): one vectorized pass per subgroup element,
-  keeping the element-wise minimum; a code is a representative iff it equals
-  the minimum over its own orbit.  O(N * L) element operations, chunked to
-  bound memory.
-* large subgroup: walk codes in increasing order, and for each unseen code
-  mark its whole coset as seen; the first unseen code of a coset is its
-  minimum.  O(N) marks plus N/L vectorized coset expansions.
+The representatives are built directly from a stabilizer chain of <w> (the
+cyclic case of Schreier-Sims).  Walking the factors in order with stab = 1,
+the part of <w> that fixes the digits before factor i is generated by
+stab*w, and it moves digit i through the multiples of
+g_i = gcd(e_i, stab*w_i); so a coset's minimal digit there is below g_i,
+and the elements that also fix it are multiples of stab * e_i/g_i.  The
+minimal representatives are therefore exactly the tuples with b_i < g_i.
+They come out sorted, in O(N/L) time and memory for N = prod(e) tuples and
+a subgroup of order L.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import math
 
 import numpy as np
 
-from .errors import EnumerationCapExceededError
+from .errors import EnumerationCapExceededError, OrbidegreeError
 
-_SMALL_SUBGROUP = 64
-_CHUNK = 1 << 20
+_INT64_MAX = 2**63 - 1
 
 
 def shift_order(moduli: tuple[int, ...], shift: tuple[int, ...]) -> int:
@@ -66,42 +65,26 @@ def coset_minima(
     """Sorted codes of the lexicographically minimal element of every coset of <shift>.
 
     Raises EnumerationCapExceededError when the fibre size prod(moduli)
-    exceeds ``cap``.
+    exceeds ``cap``, or when it does not fit the int64 codes.
     """
     size = math.prod(moduli)
     if cap is not None and size > cap:
         raise EnumerationCapExceededError(f"fibre needs {size} tuples, cap is {cap}")
-    mods = np.asarray(moduli, dtype=np.int64)
-    places = _places(moduli)
-    sub = subgroup_digits(moduli, shift)
-    order = len(sub)
-    if order == 1:
-        return np.arange(size, dtype=np.int64)
-
-    if order <= _SMALL_SUBGROUP:
-        reps = []
-        for start in range(0, size, _CHUNK):
-            codes = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-            digits = (codes[:, None] // places) % mods
-            minima = codes.copy()
-            for row in sub[1:]:
-                shifted = ((digits + row) % mods) @ places
-                np.minimum(minima, shifted, out=minima)
-            reps.append(codes[minima == codes])
-        out = np.concatenate(reps)
-    else:
-        seen = bytearray(size)
-        reps_list: list[int] = []
-        for code in range(size):
-            if seen[code]:
-                continue
-            digits = (np.int64(code) // places) % mods
-            coset = ((digits + sub) % mods) @ places
-            for c in coset.tolist():
-                seen[c] = 1
-            reps_list.append(code)
-        out = np.asarray(reps_list, dtype=np.int64)
-
-    # every coset has exactly |<shift>| elements, so the counts must tile
-    assert len(out) * order == size
-    return out
+    if size > _INT64_MAX:
+        raise EnumerationCapExceededError(
+            f"fibre of {size} tuples overflows the int64 tuple codes (at most 2**63 - 1)"
+        )
+    bounds = []
+    stab = 1
+    for e, v in zip(moduli, shift):
+        g = math.gcd(e, stab * v)
+        bounds.append(g)
+        stab *= e // g
+    if math.prod(bounds) * shift_order(moduli, shift) != size:
+        raise OrbidegreeError(
+            f"cosets of <{shift}> in moduli {moduli} do not tile the fibre; this is a bug"
+        )
+    codes = np.zeros((), dtype=np.int64)
+    for g, place in zip(bounds, _places(moduli)):
+        codes = np.add.outer(codes, np.arange(g, dtype=np.int64) * place)
+    return codes.reshape(-1)

@@ -91,6 +91,30 @@ def test_cap_env_override(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["degree"] == 3
 
 
+def test_raised_cap_on_a_fibre_of_4e12_tuples(capsys, monkeypatch):
+    # N = 4*10**12 tuples, far past the default cap, with two representatives
+    monkeypatch.setenv("ORBIDEGREE_ENUM_CAP", str(10**15))
+    code, out, err = run_cli(
+        capsys, "degree", "--q", f"1,{10**12}", "--r", "1,1", "--e", f"{2 * 10**12},2"
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["degree"] == 2 and len(data["preimages"]) == 2
+
+
+def test_memory_error_exit_5(capsys, monkeypatch):
+    import orbidegree.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "degree", out_of_memory)
+    code, out, err = run_cli(capsys, "degree", "--q", "1,1", "--r", "1,3", "--e", "1,3")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_preimages_nonsmooth_regular(capsys):
     code, out, _ = run_cli(
         capsys, "preimages", "--q", "1,1", "--r", "1,3", "--e", "1,3",

@@ -147,6 +147,14 @@ def test_enumeration_cap():
     assert weighted_cardinality(g, g.target.all_ones(), cap=3600) == 60
 
 
+def test_uncapped_degree_on_a_fibre_of_10_to_12_tuples():
+    # N = 10**12 tuples, L = 10**6: the coset construction builds only the
+    # 10**6 representatives
+    f = MonomialMap(WpsOrbifold((1, 1)), WpsOrbifold((1, 1)), (10**6, 10**6))
+    result = degree(f, cap=None, include_preimages=False)
+    assert result.oriented == degree_closed_form(f) == 10**6
+
+
 def test_degree_paper_values():
     assert degree(MonomialMap.from_projective((3, 4, 5))).oriented == 60
     assert degree(MonomialMap.to_projective((1, 2, 3))).oriented == 6

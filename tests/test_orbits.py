@@ -61,20 +61,50 @@ def test_matches_brute_force_random(moduli, data):
     assert got == brute_coset_minima(moduli, shift)
 
 
-def test_both_strategies_agree():
-    # order 72 subgroup forces the marking path; compare against the vectorized path
-    import orbidegree.orbits as orbits
-
+def test_order_72_subgroup_matches_brute_force():
     moduli, shift = (8, 9, 2), (1, 1, 1)
     assert shift_order(moduli, shift) == 72
-    dense = coset_minima(moduli, shift).tolist()
-    old = orbits._SMALL_SUBGROUP
-    try:
-        orbits._SMALL_SUBGROUP = 1000
-        vectorized = coset_minima(moduli, shift).tolist()
-    finally:
-        orbits._SMALL_SUBGROUP = old
-    assert dense == vectorized == brute_coset_minima(moduli, shift)
+    assert coset_minima(moduli, shift).tolist() == brute_coset_minima(moduli, shift)
+
+
+@pytest.mark.parametrize("e", [64, 65])
+def test_subgroup_order_boundary(e):
+    # L = 64 and L = 65 go through the same construction: N/L sorted codes
+    moduli, shift = (e, e, e), (1, 1, 1)
+    codes = coset_minima(moduli, shift)
+    assert codes.dtype == np.int64
+    assert len(codes) == math.prod(moduli) // shift_order(moduli, shift) == e * e
+    assert np.all(np.diff(codes) > 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=3).filter(
+        lambda moduli: math.prod(moduli) <= 40_000
+    ),
+    st.data(),
+)
+def test_representatives_are_distinct_coset_minima(moduli, data):
+    moduli = tuple(moduli)
+    shift = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
+    codes = coset_minima(moduli, shift)
+    sub = subgroup_digits(moduli, shift)
+    # row j holds the whole coset of representative j
+    cosets = encode((decode(codes, moduli)[:, None, :] + sub) % np.asarray(moduli), moduli)
+    assert np.array_equal(cosets.min(axis=1), codes)
+    # pairwise distinct cosets that together cover every tuple exactly once
+    assert np.array_equal(np.sort(cosets, axis=None), np.arange(math.prod(moduli)))
+
+
+def test_place_value_overflow_raises():
+    # 4 * 2**62 * 4 = 2**66 tuples: the int64 place values would wrap
+    with pytest.raises(EnumerationCapExceededError, match="int64"):
+        coset_minima((4, 2**62, 4), (1, 1, 1))
+    # exactly 2**63 - 1 tuples still fits; the codes decode to valid digits
+    moduli = (7, (2**63 - 1) // 7)
+    codes = coset_minima(moduli, (1, 1))
+    assert len(codes) == 7
+    assert decode(codes, moduli).tolist() == [[0, b] for b in range(7)]
 
 
 def test_trivial_shift_enumerates_everything():
