@@ -26,11 +26,13 @@ from .circle import (
 from .degree import (
     DEFAULT_ENUMERATION_CAP,
     DegreeResult,
+    PreimageColumns,
     PreimageRecord,
     RegularityCertificate,
     degree,
     degree_closed_form,
     is_regular_value,
+    preimage_columns,
     preimages,
     regularity,
     smooth_preimage_check,

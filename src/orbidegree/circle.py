@@ -28,6 +28,7 @@ from .errors import (
     NoConvergenceError,
     NoHomomorphismError,
     NonIntegralWeightError,
+    PreconditionViolatedError,
 )
 from .spaces import CircleQuotient
 
@@ -317,5 +318,8 @@ def covering_degree(
     if value is None:
         value = 0.375 * m.codomain.period  # generic: every value of a power map is regular
     result = circle_degree2(m, value)
-    assert all(p.derivative_sign == 1 for p in result.preimages.points)
+    if any(p.derivative_sign != 1 for p in result.preimages.points):
+        raise PreconditionViolatedError(
+            f"theta -> {power}*theta reverses orientation; covering_degree needs power >= 1"
+        )
     return result.weighted_count

@@ -14,7 +14,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .degree import DEFAULT_ENUMERATION_CAP, DegreeResult, degree, preimages
+from .degree import (
+    DEFAULT_ENUMERATION_CAP,
+    DegreeResult,
+    PreimageColumns,
+    degree,
+    preimage_columns,
+)
 from .errors import (
     EnumerationCapExceededError,
     NoHomomorphismError,
@@ -94,6 +100,30 @@ def _emit(payload: dict | list, config: CliConfig, text_renderer=None) -> None:
         print(text_renderer(payload) if text_renderer else json.dumps(payload, indent=2))
 
 
+# stands in for each per-point integer while the record template is dumped
+_SLOT = "<int>"
+
+
+def _dumps_with_preimages(payload: dict, columns: PreimageColumns) -> str:
+    """json.dumps(payload, indent=2) with the preimage records as a last "preimages" key.
+
+    The records are written straight from the columns: one record is dumped
+    in place with a slot for each per-point integer, which makes a
+    %-template in json.dumps layout, and the template is filled once per point.
+    """
+    rows = columns.rows()
+    record = columns.record(rows[0]).to_json()
+    coords = record["point"]["coords"]
+    for i in columns.support:  # keys in to_json order: num, den, as in each row
+        coords[i] = dict.fromkeys(coords[i], _SLOT)
+    text = json.dumps({**payload, "preimages": [record]}, indent=2)
+    opening = '"preimages": [\n'
+    start = text.rindex(opening) + len(opening)
+    end = text.rindex("\n", 0, text.rindex("\n"))  # before the closing "  ]\n}"
+    template = text[start:end].replace("%", "%%").replace(json.dumps(_SLOT), "%d")
+    return text[:start] + ",\n".join([template % row for row in rows]) + text[end:]
+
+
 def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:
     if (args.wps is None) == (args.circle is None):
         raise ValueError("give exactly one of --wps or --circle")
@@ -135,25 +165,23 @@ def _build_map(args: argparse.Namespace) -> MonomialMap:
 def _cmd_degree(args: argparse.Namespace, config: CliConfig) -> int:
     f = _build_map(args)
     y = _parse_value(args.value, f.target) if args.value else None
-    result: DegreeResult = degree(f, y, cap=config.cap)
-    _emit(
-        result.to_json(),
-        config,
-        lambda data: f"degree {data['degree']} (mod2 {data['mod2']}) at {args.value or 'default probe'}",
-    )
+    result: DegreeResult = degree(f, y, cap=config.cap, include_preimages=False)
+    if config.format == "json":
+        columns = preimage_columns(f, result.value, cap=config.cap)
+        print(_dumps_with_preimages(result.to_json(), columns))
+    else:
+        print(f"degree {result.oriented} (mod2 {result.mod2}) at {args.value or 'default probe'}")
     return EXIT_OK
 
 
 def _cmd_preimages(args: argparse.Namespace, config: CliConfig) -> int:
     f = _build_map(args)
     y = _parse_value(args.value, f.target)
-    records = preimages(f, y, cap=config.cap)
-    payload = {
-        "map": f.descriptor(),
-        "value": y.to_json(),
-        "preimages": [rec.to_json() for rec in records],
-    }
-    _emit(payload, config, lambda data: f"{len(data['preimages'])} preimage points")
+    columns = preimage_columns(f, y, cap=config.cap)
+    if config.format == "json":
+        print(_dumps_with_preimages({"map": f.descriptor(), "value": y.to_json()}, columns))
+    else:
+        print(f"{len(columns)} preimage points")
     return EXIT_OK
 
 

@@ -10,6 +10,14 @@ order gcd{r_i : i in S}, and each point is counted with weight
 are holomorphic on charts, so every orientation sign is +1 and the oriented
 degree equals the weighted count.
 
+The preimage points are kept as integer columns (PreimageColumns): every
+coordinate of every point is a numerator over one common denominator
+D = q0 * lcm_i(m_i * e_i), for y_i = a_i/m_i and q0 the weight of the first
+support coordinate, and all points are put in canonical form at once by
+spaces.canonical_numerators.  The columns are int64 while every intermediate
+fits, and Python-int object arrays otherwise, so they never wrap.  Point
+objects are built only for callers that ask for records.
+
 The closed form (prod_i e_i) / d is the fast path; orbit enumeration is the
 trusted oracle.  They are never silently swapped: enumeration beyond the cap
 raises instead of falling back to the formula.
@@ -19,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,9 +36,9 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .maps import MonomialMap
-from .orbits import coset_minima, decode
+from .orbits import _INT64_MAX, coset_minima, decode
 from .roots import ExactCoordinate, RootOfUnity
-from .spaces import WpsPoint, isotropy
+from .spaces import WpsOrbifold, WpsPoint, canonical_numerators, isotropy
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -125,12 +132,13 @@ class _Fibre:
 
     @property
     def weight(self) -> int:
-        w = Fraction(self.value_isotropy, self.point_isotropy)
-        if w.denominator != 1 or w <= 0:
+        w, rem = divmod(self.value_isotropy, self.point_isotropy)
+        if rem or w <= 0:
             raise NonIntegralWeightError(
-                f"|G_y|/|G_x| = {w} is not a positive integer; this is a bug"
+                f"|G_y|/|G_x| = {self.value_isotropy}/{self.point_isotropy} is not a "
+                "positive integer; this is a bug"
             )
-        return int(w)
+        return w
 
 
 def _solve_fibre(f: MonomialMap, y: WpsPoint, cap: int | None) -> _Fibre:
@@ -151,20 +159,71 @@ def _solve_fibre(f: MonomialMap, y: WpsPoint, cap: int | None) -> _Fibre:
     return _Fibre(sup, codes, e_sub, g_val, m_pt, cert)
 
 
-def _materialize(f: MonomialMap, y: WpsPoint, fibre: _Fibre) -> tuple[PreimageRecord, ...]:
-    digit_rows = decode(fibre.codes, fibre.sub_exponents)
-    weight = fibre.weight
-    records = []
-    for row in digit_rows:
-        coords = [ExactCoordinate.zero()] * len(f.exponents)
-        for pos, i in enumerate(fibre.support):
-            e_i = f.exponents[i]
-            base = y.coords[i].root
-            turns = Fraction(base.num, base.order * e_i) + Fraction(int(row[pos]), e_i)
-            coords[i] = ExactCoordinate(RootOfUnity.from_turns(turns))
-        point = WpsPoint(f.source, tuple(coords))
-        records.append(PreimageRecord(point, fibre.point_isotropy, weight, 1))
-    return tuple(records)
+@dataclass(frozen=True, eq=False)
+class PreimageColumns:
+    """The canonical preimage points of a fibre, one row per point.
+
+    Coordinate support[k] of point b is exp(2*pi*i*num[b, k]/den[b, k]) in
+    lowest terms; every other coordinate is zero.  The arrays are int64, or
+    object arrays of Python ints when the common denominator is too large
+    for int64.  All points share ``isotropy_order`` and ``weight``.
+    """
+
+    space: WpsOrbifold
+    support: tuple[int, ...]
+    num: np.ndarray
+    den: np.ndarray
+    isotropy_order: int
+    weight: int
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """Per point (num, den) of each support coordinate, interleaved, as Python ints."""
+        pairs = np.empty((len(self), 2 * len(self.support)), dtype=self.num.dtype)
+        pairs[:, 0::2] = self.num
+        pairs[:, 1::2] = self.den
+        return list(map(tuple, pairs.tolist()))
+
+    def record(self, row: tuple[int, ...]) -> PreimageRecord:
+        coords = [ExactCoordinate.zero()] * len(self.space.weights)
+        for k, i in enumerate(self.support):
+            coords[i] = ExactCoordinate(RootOfUnity(row[2 * k], row[2 * k + 1]))
+        return PreimageRecord(WpsPoint(self.space, tuple(coords)), self.isotropy_order, self.weight)
+
+    def records(self) -> tuple[PreimageRecord, ...]:
+        return tuple(self.record(row) for row in self.rows())
+
+
+def _columns(f: MonomialMap, y: WpsPoint, fibre: _Fibre) -> PreimageColumns:
+    """Canonical preimage columns: point b has turns (a_i/m_i + b_i)/e_i on the support."""
+    q = f.source.weights
+    roots = [y.coords[i].root for i in fibre.support]
+    moduli = [root.order * e for root, e in zip(roots, fibre.sub_exponents)]
+    den = q[fibre.support[0]] * math.lcm(*moduli)
+    digits = decode(fibre.codes, fibre.sub_exponents)
+    if den * (max(q) + 1) > _INT64_MAX:
+        digits = digits.astype(object)
+    numerators = [
+        (root.num + digits[:, k] * root.order) * (den // m)
+        for k, (root, m) in enumerate(zip(roots, moduli))
+    ]
+    cols = np.stack(canonical_numerators(q, fibre.support, numerators, den), axis=1)
+    common = np.gcd(cols, den)
+    return PreimageColumns(
+        f.source, fibre.support, cols // common, den // common, fibre.point_isotropy, fibre.weight
+    )
+
+
+def preimage_columns(
+    f: MonomialMap, y: WpsPoint, cap: int | None = DEFAULT_ENUMERATION_CAP
+) -> PreimageColumns:
+    """All preimage points of the regular value y, as integer columns.
+
+    Rows follow the sorted canonical representatives of the fibre cosets.
+    """
+    return _columns(f, y, _solve_fibre(f, y, cap))
 
 
 def preimages(
@@ -175,8 +234,7 @@ def preimages(
     Ordering is deterministic: records follow the sorted canonical
     representatives of the fibre cosets.
     """
-    fibre = _solve_fibre(f, y, cap)
-    return _materialize(f, y, fibre)
+    return preimage_columns(f, y, cap).records()
 
 
 def weighted_cardinality(
@@ -184,13 +242,16 @@ def weighted_cardinality(
 ) -> int:
     """Sum of |G_y|/|G_x| over the fibre of the regular value y.
 
-    Accumulated exactly; integrality is asserted rather than rounded.
+    Accumulated exactly; integrality is checked rather than rounded.
     """
     fibre = _solve_fibre(f, y, cap)
-    total = Fraction(fibre.count) * Fraction(fibre.value_isotropy, fibre.point_isotropy)
-    if total.denominator != 1:
-        raise NonIntegralWeightError(f"weighted count {total} is not an integer; this is a bug")
-    return int(total)
+    total, rem = divmod(fibre.count * fibre.value_isotropy, fibre.point_isotropy)
+    if rem:
+        raise NonIntegralWeightError(
+            f"weighted count {fibre.count * fibre.value_isotropy}/{fibre.point_isotropy} "
+            "is not an integer; this is a bug"
+        )
+    return total
 
 
 def degree(
@@ -208,7 +269,7 @@ def degree(
         y = f.target.all_ones()
     fibre = _solve_fibre(f, y, cap)
     count = fibre.count * fibre.weight
-    records = _materialize(f, y, fibre) if include_preimages else None
+    records = _columns(f, y, fibre).records() if include_preimages else None
     return DegreeResult(
         weighted_count=count,
         mod2=count % 2,
@@ -221,10 +282,13 @@ def degree(
 
 def degree_closed_form(f: MonomialMap) -> int:
     """(prod_i e_i) / d; the fast path the enumeration oracle is checked against."""
-    value = Fraction(f.exponent_product, f.equivariance_degree)
-    if value.denominator != 1:
-        raise NonIntegralWeightError(f"closed form {value} is not an integer; this is a bug")
-    return int(value)
+    value, rem = divmod(f.exponent_product, f.equivariance_degree)
+    if rem:
+        raise NonIntegralWeightError(
+            f"closed form {f.exponent_product}/{f.equivariance_degree} is not an integer; "
+            "this is a bug"
+        )
+    return value
 
 
 def smooth_preimage_check(

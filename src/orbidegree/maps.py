@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotEquivariantError, WeightMismatchError
+from .errors import NotEquivariantError, OrbidegreeError, WeightMismatchError
 from .roots import RootOfUnity
 from .spaces import WpsOrbifold, WpsPoint, isotropy
 
@@ -109,7 +109,11 @@ def compose(f: MonomialMap, g: MonomialMap) -> MonomialMap:
         )
     exponents = tuple(ef * eg for ef, eg in zip(f.exponents, g.exponents))
     composed = MonomialMap(f.source, g.target, exponents)
-    assert composed.equivariance_degree == f.equivariance_degree * g.equivariance_degree
+    if composed.equivariance_degree != f.equivariance_degree * g.equivariance_degree:
+        raise OrbidegreeError(
+            f"composite d = {composed.equivariance_degree} is not "
+            f"{f.equivariance_degree}*{g.equivariance_degree}; this is a bug"
+        )
     return composed
 
 

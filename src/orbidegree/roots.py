@@ -54,13 +54,15 @@ class RootOfUnity:
         return self.num == 0
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.from_turns(self.turns + other.turns)
+        order = math.lcm(self.order, other.order)
+        num = self.num * (order // self.order) + other.num * (order // other.order)
+        return RootOfUnity(num, order)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity.from_turns(self.turns * k)
+        return RootOfUnity(self.num * k, self.order)
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity.from_turns(-self.turns)
+        return RootOfUnity(-self.num, self.order)
 
     def angle(self) -> float:
         return 2.0 * math.pi * self.num / self.order

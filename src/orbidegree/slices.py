@@ -107,10 +107,17 @@ def slice_chart(
     # orient: (base, rotation, frame) positively oriented in ambient coordinates
     if np.linalg.det(np.vstack([base_r, tangent, frame])) < 0:
         frame[-1] *= -1.0
-    gram = frame @ frame.T
-    assert np.max(np.abs(gram - np.eye(len(frame)))) < FRAME_TOL
-    assert np.max(np.abs(frame @ base_r)) < FRAME_TOL
-    assert np.max(np.abs(frame @ tangent)) < FRAME_TOL
+    for what, error in (
+        ("orthonormal", frame @ frame.T - np.eye(len(frame))),
+        ("orthogonal to the base point", frame @ base_r),
+        ("orthogonal to the orbit direction", frame @ tangent),
+    ):
+        # written so that a NaN error also fails
+        if not np.max(np.abs(error)) < FRAME_TOL:
+            raise PreconditionViolatedError(
+                f"slice frame at {z} is not {what} within {FRAME_TOL}; "
+                "the point must be finite and nonzero"
+            )
     return SliceChart(z, tuple(weights), frame, radius)
 
 

@@ -5,7 +5,11 @@ of C^{n+1} minus the origin by the circle/C* action gamma . z =
 (gamma^{q_0} z_0, ..., gamma^{q_n} z_n).  Points here carry exact
 root-of-unity coordinates, so orbit equality is decidable: the canonical form
 scales the first nonzero coordinate to 1 and then minimizes the remaining
-coordinates lexicographically over the finite residual group.
+coordinates lexicographically over the finite residual group Z_{q0}.  The
+minimum is found in integer arithmetic by a stabilizer chain of that cyclic
+group, one step per coordinate, not by trying all q0 scalings; the same
+code canonicalizes one point or a whole fibre of points held as arrays
+(canonical_numerators).
 
 Circle quotients S^1 // Z_k (free rotations) and S^1 // Z_2 (reflection, a
 closed interval with two order-2 endpoints) are the one-dimensional model
@@ -78,28 +82,64 @@ class WpsOrbifold:
         return "CP%d(%s)" % (self.complex_dimension, ",".join(map(str, self.weights)))
 
 
+def canonical_numerators(
+    weights: tuple[int, ...], support: tuple[int, ...], numerators: list, den: int
+) -> list:
+    """Orbit-canonical numerators over ``den`` of the coordinates in ``support``.
+
+    ``numerators[k]`` is the turn numerator of coordinate ``support[k]`` (the
+    support ascending, every other coordinate zero): a Python int for one
+    point, or an integer array with one entry per point, which is then
+    canonicalized in bulk by the same arithmetic.  ``den`` must be a multiple
+    of q0 = weights[support[0]] times every coordinate's order, so that each
+    numerator is a multiple of q0.
+
+    Scaling by exp(2*pi*i*s/den) adds q_i*s to numerator i.  The particular
+    s = -n_0/q0 (taken mod den/q0) sends the first coordinate to 1; the
+    residual scalings are k*den/q0, k in Z_q0.  They are walked as a
+    stabilizer chain: with ``stab`` generating the residual scalings that
+    fix the coordinates already placed, the next coordinate's orbit is its
+    residue class mod g = gcd(step, den), step = stab*q_j*den/q0, so its
+    minimum c mod g is reached by one shift, and the scalings that fix it
+    are the multiples of stab*den/g.  The result is the lexicographically
+    least tuple of the orbit, with no loop over Z_q0.  Every intermediate
+    stays below den*(max(weights) + 1).
+    """
+    q0 = weights[support[0]]
+    unit = den // q0
+    shift = (-(numerators[0] // q0)) % unit
+    cols = [(n + weights[i] * shift) % den for n, i in zip(numerators, support)]
+    stab = 1
+    for pos in range(1, len(support)):
+        h = math.gcd(stab * weights[support[pos]], q0)
+        order = q0 // h
+        if order == 1:  # every scaling left fixes this coordinate
+            continue
+        inv = pow(stab * weights[support[pos]] // h, -1, order)
+        k = (-(cols[pos] // (unit * h)) * inv) % order
+        for j in range(pos, len(support)):
+            mult = (stab * weights[support[j]]) % q0
+            cols[j] = (cols[j] + (k * mult) % q0 * unit) % den
+        stab *= order
+    return cols
+
+
 def _canonical_coords(
     weights: tuple[int, ...], coords: tuple[ExactCoordinate, ...]
 ) -> tuple[ExactCoordinate, ...]:
     """Orbit-canonical representative under the weighted root-of-unity action.
 
-    Scale so the first nonzero coordinate becomes 1 (its exponent can always
-    be driven to the minimum 0), then among the q_{i0} residual scalings pick
-    the tuple whose remaining coordinates are lexicographically minimal.
+    The first nonzero coordinate becomes 1 and the rest are lexicographically
+    least over the residual scalings (see canonical_numerators).
     """
-    i0 = next(i for i, c in enumerate(coords) if not c.is_zero)
-    q0 = weights[i0]
-    # particular solution of gamma^{q0} = coords[i0]^{-1}
-    base = RootOfUnity.from_turns(coords[i0].root.inverse().turns / q0)
-    best = None
-    best_key = None
-    for t in range(q0):
-        gamma = base * RootOfUnity(t, q0)
-        cand = tuple(c.times(gamma**w) for c, w in zip(coords, weights))
-        key = tuple(c.sort_key() for c in cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    support = tuple(i for i, c in enumerate(coords) if not c.is_zero)
+    orders = [coords[i].root.order for i in support]
+    den = weights[support[0]] * math.lcm(*orders)
+    numerators = [coords[i].root.num * (den // m) for i, m in zip(support, orders)]
+    out = list(coords)
+    for i, n in zip(support, canonical_numerators(weights, support, numerators, den)):
+        out[i] = ExactCoordinate(RootOfUnity(n, den))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,15 @@
+import contextlib
+import io
+import itertools
 import json
+from fractions import Fraction
 
+from hypothesis import given, settings
+
+from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
 from orbidegree.cli import main
+from orbidegree.degree import degree, degree_closed_form, preimages
+from orbidegree.maps import MonomialMap
 
 
 def run_cli(capsys, *argv):
@@ -207,3 +216,66 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert code == 1
     reports = json.loads(out)
     assert reports[0]["failures"] == [{"witness": "injected"}]
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
+def _map_args(f, y):
+    q, r, e = (",".join(map(str, v)) for v in (f.source.weights, f.target.weights, f.exponents))
+    return ["--q", q, "--r", r, "--e", e, "--value", y.encode()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_with_values())
+def test_json_written_from_columns_matches_scalar_records(data):
+    f, y = data
+    records = preimages(f, y)
+    payload = {
+        "map": f.descriptor(),
+        "value": y.to_json(),
+        "preimages": [rec.to_json() for rec in records],
+    }
+    assert _stdout(["preimages", *_map_args(f, y)]) == json.dumps(payload, indent=2) + "\n"
+    assert _stdout(["degree", *_map_args(f, y)]) == json.dumps(
+        degree(f, y).to_json(), indent=2
+    ) + "\n"
+
+
+def test_denominators_past_int64_do_not_wrap():
+    # canonical denominators near 2*10**24: the columns fall back to Python ints
+    argv = ["preimages", "--q", "2,3,5", "--r", "2,3,5", "--e", "6,6,6",
+            "--value", "1/999999999989,5/999999999959,7/999999999961"]
+    text = _stdout(argv)
+    f = MonomialMap.from_descriptor({"q": [2, 3, 5], "r": [2, 3, 5], "e": [6, 6, 6]})
+    y = f.target.point(*argv[-1].split(","))
+    assert max(c.root.order for c in y.coords) > 2**63
+    records = preimages(f, y)
+    assert len(records) == degree_closed_form(f) == 36
+    payload = {"map": f.descriptor(), "value": y.to_json(),
+               "preimages": [rec.to_json() for rec in records]}
+    assert text == json.dumps(payload, indent=2) + "\n"
+    printed = [
+        tuple(Fraction(c["num"], c["den"]) for c in rec["point"]["coords"])
+        for rec in json.loads(text)["preimages"]
+    ]
+    assert max(t.denominator for point in printed for t in point) > 2**63
+    # the residual loop (q0 = 2 scalings) over all 216 tuples gives the same 36 points
+    y_turns = coordinate_turns(y.coords)
+    expected = {
+        loop_canonical_turns(f.source.weights, [(t + b) / 6 for t, b in zip(y_turns, digits)])
+        for digits in itertools.product(range(6), repeat=3)
+    }
+    assert len(set(printed)) == len(printed) and set(printed) == expected
+
+
+def test_preimages_text_format(capsys):
+    code, out, _ = run_cli(capsys, "preimages", "--q", "1,1", "--r", "1,3", "--e", "1,3",
+                           "--value", "1/2,1/5", "--format", "text")
+    assert code == 0
+    assert out == "3 preimage points\n"

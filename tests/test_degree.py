@@ -1,13 +1,21 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+
+from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
 
 from orbidegree.degree import (
+    _solve_fibre,
     degree,
     degree_closed_form,
     is_regular_value,
+    preimage_columns,
     preimages,
     regularity,
     smooth_preimage_check,
@@ -15,6 +23,7 @@ from orbidegree.degree import (
 )
 from orbidegree.errors import (
     EnumerationCapExceededError,
+    NonIntegralWeightError,
     NotRegularError,
     PreconditionViolatedError,
 )
@@ -263,3 +272,57 @@ def test_random_fibres_match_float_oracle():
             assert count == oracle_preimage_count(f, y)
             checked += 1
     assert checked >= 80
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_with_values())
+def test_bulk_canonical_numerators_match_loop_oracle(data):
+    f, y = data
+    q = f.source.weights
+    columns = preimage_columns(f, y)
+    rows = [
+        tuple(Fraction(row[2 * k], row[2 * k + 1]) for k in range(len(columns.support)))
+        for row in columns.rows()
+    ]
+    # every tuple of the fibre, canonicalized by trying all q0 residual scalings
+    y_turns = coordinate_turns(y.coords)
+    expected = set()
+    for digits in itertools.product(*(range(f.exponents[i]) for i in columns.support)):
+        turns = [None] * len(q)
+        for b, i in zip(digits, columns.support):
+            turns[i] = (y_turns[i] + b) / f.exponents[i]
+        canonical = loop_canonical_turns(q, turns)
+        expected.add(tuple(canonical[i] for i in columns.support))
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == expected
+    # the records are built from the same rows, in the same order
+    records = preimages(f, y)
+    assert [
+        tuple(coordinate_turns(rec.point.coords)[i] for i in columns.support) for rec in records
+    ] == rows
+    assert all(underlying_image(f, rec.point) == y for rec in records)
+
+
+def test_single_preimage_with_a_large_first_weight():
+    # q0 = 10**5: one point, canonicalized without a loop over the 10**5 scalings
+    f = MonomialMap(WpsOrbifold((10**5, 1)), WpsOrbifold((1, 1)), (1, 10**5))
+    result = degree(f)
+    assert result.oriented == degree_closed_form(f) == 1
+    (rec,) = result.preimages
+    assert rec.point.encode() == "0/1,0/1"
+    assert (rec.weight, rec.isotropy_order) == (1, 1)
+    y = f.target.point("1/3", "2/7")
+    (rec,) = preimages(f, y)
+    # turns 1/3 and (2/7 + b)/10**5; scaling the first to 0 leaves the second
+    # (2/7 - 1/3 + k)/10**5, least at (20/21)/10**5
+    assert rec.point.encode() == "0/1,1/105000"
+    assert underlying_image(f, rec.point) == y
+
+
+def test_integrality_failures_raise_typed_errors():
+    with pytest.raises(NonIntegralWeightError):
+        degree_closed_form(SimpleNamespace(exponent_product=3, equivariance_degree=2))
+    f = MonomialMap.from_projective((1, 3))
+    fibre = _solve_fibre(f, f.target.all_ones(), None)
+    with pytest.raises(NonIntegralWeightError):
+        replace(fibre, value_isotropy=3, point_isotropy=2).weight

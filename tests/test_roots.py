@@ -88,3 +88,11 @@ def test_unit_power_is_exact(a, k):
 
 def test_turns_fraction():
     assert RootOfUnity(3, 9).turns == Fraction(1, 3)
+
+
+@given(units, units, st.integers(min_value=-30, max_value=30))
+def test_integer_arithmetic_matches_turns(a, b, k):
+    assert (a * b).turns == (a.turns + b.turns) % 1
+    assert (a**k).turns == (a.turns * k) % 1
+    assert a.inverse().turns == (-a.turns) % 1
+    assert RootOfUnity.from_turns(a.turns) == a

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coordinate_turns, loop_canonical_turns
 from orbidegree.errors import NotEffectiveError
 from orbidegree.roots import ExactCoordinate, RootOfUnity
 from orbidegree.spaces import (
@@ -217,3 +218,42 @@ def test_point_json_round_trip():
     assert WpsOrbifold.from_json(space.to_json()) == space
     # the wire encoding parses back to the same orbit
     assert space.point(*point.encode().split(",")) == point
+
+
+@st.composite
+def raw_points(draw):
+    """Weights up to 30 (so the first support weight is often > 1) and uncanonical coordinates."""
+    weights = draw(
+        coprime_weights(
+            st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4).map(tuple)
+        )
+    )
+    coords = []
+    for _ in weights:
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            coords.append(ExactCoordinate.zero())
+        else:
+            order = draw(st.integers(min_value=1, max_value=40))
+            coords.append(ExactCoordinate.unit(draw(st.integers(min_value=0, max_value=39)), order))
+    if all(c.is_zero for c in coords):
+        coords[-1] = ExactCoordinate.unit(1, 3)
+    return weights, tuple(coords)
+
+
+@settings(max_examples=250, deadline=None)
+@given(raw_points())
+def test_canonical_form_matches_residual_loop(data):
+    weights, coords = data
+    point = WpsPoint(WpsOrbifold(weights), coords)
+    expected = loop_canonical_turns(weights, coordinate_turns(coords))
+    assert coordinate_turns(point.coords) == expected
+
+
+def test_canonical_form_with_a_large_first_weight():
+    # q0 = 10**5 residual scalings; the chain takes one step, not 10**5
+    space = WpsOrbifold((10**5, 1))
+    point = space.point("1/3", "2/7")
+    # tau = -1/(3*10**5) + k/10**5 sends the first turn 1/3 to 0 and the second
+    # to 2/7 + tau; since 2/7 = (28571 + 3/7)/10**5, the least is (3/7 - 1/3)/10**5
+    assert point.encode() == "0/1,1/1050000"
+    assert point == space.point("0/1", "1/1050000")
