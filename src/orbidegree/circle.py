@@ -9,17 +9,21 @@ The two flat maps replace y^2 by e^{-1/y^2} (even) and sign(y) e^{-1/y^2}
 (odd): equal underlying maps on the quotient, different isotropy
 homomorphisms, equal degrees.
 
-Degrees are computed numerically: dense sampling of the covering circle,
-bisection brackets on the wrapped angular difference, Newton polish, then
-folding of the roots into the quotient's fundamental domain with weighted
-counting.
+Degrees are computed numerically in one pass with fixed constants: the
+covering circle is sampled on a GRID-point grid, sign changes of the wrapped
+angular difference bracket the roots, each bracket is bisected down to
+REFINE_TOL, and the roots are folded into the quotient's fundamental domain
+and counted with integer weights |G_value| / |G_point|.  A map whose turning
+rate the grid cannot resolve (4 * rate > GRID, i.e. a grid step may turn by
+more than pi/2) is refused with NoConvergenceError instead of being
+undercounted; sampled steps cannot detect this themselves, since a map
+turning by a full 2*pi per step looks flat on the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,10 +37,13 @@ from .errors import (
 from .spaces import CircleQuotient
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_SEEDS = 4096
-DEFAULT_DERIVATIVE_THRESHOLD = 1e-8
-DEFAULT_REFINE_TOL = 1e-12
-_ANGLE_CLUSTER = 1e-8
+GRID = 4096  # sample steps around the covering circle
+BOUNDED_RATE = 3  # turning-rate bound of the fold and flat maps (measured: 1.43 and e)
+REFINE_TOL = 1e-12  # bisection stops once a bracket is this narrow
+RESIDUAL_TOL = 1e-6  # largest angle miss accepted at a refined root
+SLOPE_STEP = 1e-6  # half-width of the central difference for derivatives
+DERIVATIVE_THRESHOLD = 1e-8  # a preimage with |derivative| at or below it is critical
+ANGLE_CLUSTER = 1e-8  # roots and folded angles closer than this coincide
 
 _KINDS = ("fold", "flat_even", "flat_odd", "power", "covering")
 
@@ -140,18 +147,16 @@ def _wrap(delta):
     return (np.asarray(delta) + math.pi) % TWO_PI - math.pi
 
 
-def _refine_root(func, target: float, lo: float, hi: float, tol: float) -> float:
-    """Bisection bracket shrink plus Newton polish on wrap(func(theta) - target)."""
+def _bisect(m: CircleMap, target: float, lo: float, hi: float) -> float:
+    """Shrink the bracket [lo, hi] around the zero of wrap(circle_eval(theta) - target)."""
 
     def g(t: float) -> float:
-        return float(_wrap(func(t) - target))
+        return float(_wrap(circle_eval(m, t) - target))
 
     f_lo = g(lo)
     if f_lo == 0.0:
         return lo
-    for _ in range(200):
-        if hi - lo < tol:
-            break
+    while hi - lo >= REFINE_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = g(mid)
         if f_mid == 0.0:
@@ -161,48 +166,60 @@ def _refine_root(func, target: float, lo: float, hi: float, tol: float) -> float
         else:
             hi = mid
     theta = 0.5 * (lo + hi)
-    h = 1e-7
-    for _ in range(5):
-        slope = float(_wrap(func(theta + h) - func(theta - h))) / (2.0 * h)
-        if slope == 0.0:
-            break
-        step = g(theta) / slope
-        if not math.isfinite(step):
-            break
-        theta -= step
-    if abs(g(theta)) > 1e-6:
+    if abs(g(theta)) > RESIDUAL_TOL:
         raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
     return theta % TWO_PI
 
 
-def _upstairs_roots(m: CircleMap, targets, seeds: int, tol: float) -> list[float]:
-    grid = np.linspace(0.0, TWO_PI, seeds + 1)
+def _upstairs_roots(m: CircleMap, targets) -> np.ndarray:
+    """Sorted, deduplicated angles theta in [0, 2*pi) with circle_eval(m, theta) in targets.
+
+    A grid step turns the image by at most rate * 2*pi/GRID, which the
+    refusal keeps at pi/2 or less: a step over a root then changes the
+    wrapped difference by at most pi/2, a step across the wrap by at least
+    3*pi/2, and no step hides a whole turn.
+    """
+    rate = abs(m.power) if m.kind in ("power", "covering") else BOUNDED_RATE  # |d image / d theta|
+    if 4 * rate > GRID:
+        raise NoConvergenceError(
+            f"{m.kind} map turns at rate {rate}; a {GRID}-point grid resolves rates "
+            f"up to {GRID // 4}"
+        )
+    grid = np.linspace(0.0, TWO_PI, GRID + 1)
     values = circle_eval(m, grid)
-
-    def func(t):
-        return circle_eval(m, t)
-
+    values[-1] = values[0]  # 2*pi is 0 again; evaluated apart, they can round apart
     roots: list[float] = []
     for target in targets:
         diff = _wrap(values - target)
-        small = np.abs(diff) < 0.5 * math.pi  # sign flips across the wrap are not roots
-        for i in range(seeds):
-            if diff[i] == 0.0:
-                roots.append(float(grid[i]) % TWO_PI)
-                continue
-            if small[i] and small[i + 1] and diff[i] * diff[i + 1] < 0:
-                roots.append(_refine_root(func, target, float(grid[i]), float(grid[i + 1]), tol))
-    roots.sort()
-    deduped: list[float] = []
-    for t in roots:
-        if deduped and (t - deduped[-1] < _ANGLE_CLUSTER or (TWO_PI - t) + deduped[0] < _ANGLE_CLUSTER):
-            continue
-        deduped.append(t)
-    return deduped
+        roots += (grid[np.flatnonzero(diff[:-1] == 0.0)] % TWO_PI).tolist()
+        # sign flips across the wrap are not roots
+        brackets = np.flatnonzero((diff[:-1] * diff[1:] < 0) & (np.abs(np.diff(diff)) < math.pi))
+        roots += [_bisect(m, target, grid[i], grid[i + 1]) for i in brackets.tolist()]
+    roots = np.sort(roots)
+    # a root repeats its predecessor, or the first root across the 2*pi wrap
+    keep = np.ones(len(roots), dtype=bool)
+    keep[1:] = np.diff(roots) >= ANGLE_CLUSTER
+    keep[1:] &= (TWO_PI - roots[1:]) + roots[:1] >= ANGLE_CLUSTER
+    return roots[keep]
 
 
-def _slope_at(m: CircleMap, theta: float, h: float = 1e-6) -> float:
-    return float(_wrap(circle_eval(m, theta + h) - circle_eval(m, theta - h))) / (2.0 * h)
+def _orbit_leaders(m: CircleMap, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Folded angles of the roots, and the index of each orbit's smallest root.
+
+    Orbits come in increasing angle.  An orbit's angle and derivative
+    sign are read at its smallest upstairs root, so the choice between the
+    two reflection-symmetric roots of one orbit never depends on rounding.
+    On a rotation quotient a root that folds to just below the period is the
+    orbit of angle 0.
+    """
+    folded = np.array([m.domain.fold(t) for t in roots.tolist()])
+    key = folded.copy()
+    if not m.domain.is_reflection:
+        key[m.domain.period - key < ANGLE_CLUSTER] -= m.domain.period
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-math.inf) >= ANGLE_CLUSTER)
+    leaders = np.minimum.reduceat(order, starts)
+    return folded, leaders[np.argsort(folded[leaders])]
 
 
 @dataclass(frozen=True)
@@ -238,18 +255,13 @@ class CircleDegreeResult:
         }
 
 
-def circle_degree2(
-    m: CircleMap,
-    value: float,
-    derivative_threshold: float = DEFAULT_DERIVATIVE_THRESHOLD,
-    seeds: int = DEFAULT_SEEDS,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> CircleDegreeResult:
+def circle_degree2(m: CircleMap, value: float) -> CircleDegreeResult:
     """Weighted preimage count and mod-2 degree of the quotient map at ``value``.
 
     ``value`` is an angle on the codomain covering circle.  Every numeric
-    preimage must clear the derivative-magnitude threshold, otherwise the
-    value is reported critical.
+    preimage must clear DERIVATIVE_THRESHOLD, otherwise the value is reported
+    critical; a map that turns too fast for the grid raises
+    NoConvergenceError rather than returning a smaller count.
     """
     psi = value % TWO_PI
     if m.codomain.is_reflection:
@@ -258,38 +270,26 @@ def circle_degree2(
         period = m.codomain.period
         targets = [(psi % period) + j * period for j in range(m.codomain.order)]
 
-    roots = _upstairs_roots(m, targets, seeds, refine_tol)
+    roots = _upstairs_roots(m, targets)
+    slopes = _wrap(circle_eval(m, roots + SLOPE_STEP) - circle_eval(m, roots - SLOPE_STEP))
+    slopes /= 2.0 * SLOPE_STEP
+    critical = np.flatnonzero(np.abs(slopes) <= DERIVATIVE_THRESHOLD)
+    if len(critical):
+        i = critical[0]
+        raise CriticalValueError(f"preimage at theta={roots[i]:.6f} has derivative {slopes[i]:.3g}")
 
-    slopes = {}
-    for theta in roots:
-        slope = _slope_at(m, theta)
-        if abs(slope) <= derivative_threshold:
-            raise CriticalValueError(
-                f"preimage at theta={theta:.6f} has derivative {slope:.3g}"
-            )
-        slopes[theta] = slope
-
-    # fold the upstairs roots into domain orbits
-    groups: dict[float, list[float]] = {}
-    for theta in roots:
-        folded = m.domain.fold(theta)
-        for rep in groups:
-            if abs(folded - rep) < _ANGLE_CLUSTER:
-                groups[rep].append(theta)
-                break
-        else:
-            groups[folded] = [theta]
-
+    folded, leaders = _orbit_leaders(m, roots)
+    points = tuple(
+        CirclePreimage(angle, 1 if slope > 0 else -1, m.domain.isotropy_order(angle))
+        for angle, slope in zip(folded[leaders].tolist(), slopes[leaders].tolist())
+    )
+    # sum of |G_value| / |G_point| over the points, over a common denominator
     value_isotropy = m.codomain.isotropy_order(psi)
-    points = []
-    total = Fraction(0)
-    for rep in sorted(groups):
-        point_isotropy = m.domain.isotropy_order(rep)
-        slope = slopes[groups[rep][0]]
-        points.append(CirclePreimage(rep, 1 if slope > 0 else -1, point_isotropy))
-        total += Fraction(value_isotropy, point_isotropy)
-    if total.denominator != 1:
-        raise NonIntegralWeightError(f"weighted count {total} is not an integer")
+    scale = math.lcm(*(p.isotropy_order for p in points))
+    numerator = sum(value_isotropy * scale // p.isotropy_order for p in points)
+    total, rem = divmod(numerator, scale)
+    if rem:
+        raise NonIntegralWeightError(f"weighted count {numerator}/{scale} is not an integer")
 
     domain_note = (
         "[0, pi], endpoints carry isotropy 2"
@@ -297,9 +297,9 @@ def circle_degree2(
         else f"[0, 2*pi/{m.domain.order})"
     )
     return CircleDegreeResult(
-        weighted_count=int(total),
-        mod2=int(total) % 2,
-        preimages=CirclePreimageSet(tuple(points), domain_note),
+        weighted_count=total,
+        mod2=total % 2,
+        preimages=CirclePreimageSet(points, domain_note),
     )
 
 

@@ -47,29 +47,42 @@ CAP_ENV_VAR = "ORBIDEGREE_ENUM_CAP"
 
 @dataclass
 class CliConfig:
-    """Defaults are documented and stable: cap 10^7, residual 1e-9,
-    derivative threshold 1e-8, finite-difference step 1e-5, seed 0."""
+    """Output format, enumeration cap and suite seed; defaults json, 10^7, 0.
+
+    A cap of None means no cap.  The numeric engines take no settings: their
+    tolerances are module constants.
+    """
 
     format: str = "json"
-    cap: int = DEFAULT_ENUMERATION_CAP
-    residual_tol: float = 1e-9
-    derivative_threshold: float = 1e-8
-    fd_step: float = 1e-5
+    cap: int | None = DEFAULT_ENUMERATION_CAP
     seed: int = 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_config_file(path: str, config: CliConfig) -> None:
+    with open(path) as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(CliConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if "cap" in data and not (data["cap"] is None or _is_int(data["cap"])):
+        raise ValueError(f"config cap must be an integer or null, got {data['cap']!r}")
+    if "seed" in data and not _is_int(data["seed"]):
+        raise ValueError(f"config seed must be an integer, got {data['seed']!r}")
+    for key, value in data.items():
+        setattr(config, key, value)
 
 
 def load_config(args: argparse.Namespace) -> CliConfig:
     """Defaults, then config file, then environment, then explicit flags."""
     config = CliConfig()
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            data = json.load(handle)
-        known = {f.name for f in fields(CliConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            setattr(config, key, value)
+        _read_config_file(args.config, config)
     if CAP_ENV_VAR in os.environ:
         config.cap = int(os.environ[CAP_ENV_VAR])
     for flag in ("format", "cap", "seed"):

@@ -299,4 +299,4 @@ def smooth_preimage_check(
         raise PreconditionViolatedError(f"{y} is not a smooth point")
     if not is_regular_value(f, y):
         raise PreconditionViolatedError(f"{y} is not a regular value")
-    return all(rec.isotropy_order == 1 for rec in preimages(f, y, cap))
+    return preimage_columns(f, y, cap).isotropy_order == 1

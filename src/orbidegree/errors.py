@@ -34,7 +34,7 @@ class PreconditionViolatedError(OrbidegreeError):
 
 
 class NewtonDivergedError(OrbidegreeError):
-    """Phase correction did not converge inside the local-uniqueness window; retry with a smaller chart radius."""
+    """Phase correction did not converge inside the local-uniqueness window; retry with y closer to x."""
 
 
 class IrregularPointError(OrbidegreeError):

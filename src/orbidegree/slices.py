@@ -24,18 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DEFAULT_ENUMERATION_CAP, preimages
+from .degree import DEFAULT_ENUMERATION_CAP, preimage_columns
 from .errors import IrregularPointError, NewtonDivergedError, PreconditionViolatedError
 from .maps import MonomialMap
 from .roots import ExactCoordinate, RootOfUnity
 from .spaces import WpsOrbifold, WpsPoint
 
-DEFAULT_CHART_RADIUS = 0.1
-DEFAULT_RESIDUAL_TOL = 1e-9
-DEFAULT_FD_STEP = 1e-5
-DEFAULT_SV_THRESHOLD = 1e-6
-FRAME_TOL = 1e-12
+CHART_RADIUS = 0.1  # slice_lift accepts |y - x| up to this
+RESIDUAL_TOL = 1e-9  # Newton stops once the slice residual is below this
 NEWTON_MAX_ITER = 50
+FD_STEP = 1e-5  # central-difference step of numeric_jacobian
+SV_THRESHOLD = 1e-6  # a smaller singular value makes the point irregular
+FRAME_TOL = 1e-12
 
 
 def sphere_point(x: WpsPoint) -> np.ndarray:
@@ -75,7 +75,6 @@ class SliceChart:
     base: np.ndarray  # complex, unit norm
     weights: tuple[int, ...]
     frame: np.ndarray  # (2n, 2n+2) real rows, orthonormal
-    radius: float
 
     @property
     def dimension(self) -> int:
@@ -94,9 +93,7 @@ def orbit_direction(z: np.ndarray, weights: tuple[int, ...]) -> np.ndarray:
     return 1j * np.array(weights) * np.asarray(z, dtype=complex)
 
 
-def slice_chart(
-    z: np.ndarray, weights: tuple[int, ...], radius: float = DEFAULT_CHART_RADIUS
-) -> SliceChart:
+def slice_chart(z: np.ndarray, weights: tuple[int, ...]) -> SliceChart:
     z = _normalize(np.asarray(z, dtype=complex))
     base_r = _to_real(z)
     tangent = _to_real(orbit_direction(z, weights))
@@ -118,7 +115,7 @@ def slice_chart(
                 f"slice frame at {z} is not {what} within {FRAME_TOL}; "
                 "the point must be finite and nonzero"
             )
-    return SliceChart(z, tuple(weights), frame, radius)
+    return SliceChart(z, tuple(weights), frame)
 
 
 @dataclass(eq=False)
@@ -145,24 +142,18 @@ def _as_sphere(x) -> np.ndarray:
     return _normalize(np.asarray(x, dtype=complex))
 
 
-def slice_lift(
-    f: MonomialMap,
-    x,
-    y,
-    radius: float = DEFAULT_CHART_RADIUS,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> LiftEvaluation:
+def slice_lift(f: MonomialMap, x, y) -> LiftEvaluation:
     """Correct the image of y into the slice at the image of x.
 
     Finds the unique phase phi with e^{i phi} . f(y) orthogonal to the orbit
-    direction at f(x), by Newton iteration on one real unknown starting at 0.
+    direction at f(x), by Newton iteration on one real unknown starting at 0,
+    down to RESIDUAL_TOL; y must lie within CHART_RADIUS of x.
     """
     x = _as_sphere(x)
     y = _as_sphere(y)
-    if np.linalg.norm(y - x) > radius:
+    if np.linalg.norm(y - x) > CHART_RADIUS:
         raise PreconditionViolatedError(
-            f"|y - x| = {np.linalg.norm(y - x):.3g} exceeds the chart radius {radius}"
+            f"|y - x| = {np.linalg.norm(y - x):.3g} exceeds the chart radius {CHART_RADIUS}"
         )
     q = np.array(f.source.weights)
     tangent_src = orbit_direction(x, f.source.weights)
@@ -188,11 +179,11 @@ def slice_lift(
     phi = 0.0
     res, slope = residual_and_slope(phi)
     iterations = 0
-    while abs(res) >= residual_tol:
-        if iterations >= max_iter or slope == 0.0 or abs(phi) >= window:
+    while abs(res) >= RESIDUAL_TOL:
+        if iterations >= NEWTON_MAX_ITER or slope == 0.0 or abs(phi) >= window:
             raise NewtonDivergedError(
                 f"phase correction stalled at phi={phi:.3g}, residual={res:.3g}; "
-                "retry with a smaller chart radius"
+                "retry with y closer to x"
             )
         phi -= res / slope
         res, slope = residual_and_slope(phi)
@@ -201,7 +192,7 @@ def slice_lift(
         raise NewtonDivergedError(f"phase {phi:.3g} left the uniqueness window {window:.3g}")
 
     corrected = np.exp(1j * r * phi) * w
-    src_chart = slice_chart(x, f.source.weights, radius)
+    src_chart = slice_chart(x, f.source.weights)
     return LiftEvaluation(
         slice_coords=src_chart.coords(y),
         corrected=corrected,
@@ -220,17 +211,11 @@ class JacobianCertificate:
         return {"sign": self.sign, "smallest_singular_value": self.smallest_singular_value}
 
 
-def numeric_jacobian(
-    f: MonomialMap,
-    x,
-    step: float = DEFAULT_FD_STEP,
-    sv_threshold: float = DEFAULT_SV_THRESHOLD,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> JacobianCertificate:
-    """Central-difference Jacobian of the corrected lift across the slice frames.
+def numeric_jacobian(f: MonomialMap, x) -> JacobianCertificate:
+    """Central-difference Jacobian (step FD_STEP) of the corrected lift across the slice frames.
 
     Returns the determinant sign together with the smallest singular value;
-    raises IrregularPointError when the latter falls below the threshold.
+    raises IrregularPointError when the latter is at or below SV_THRESHOLD.
     """
     x = _as_sphere(x)
     src = slice_chart(x, f.source.weights)
@@ -238,20 +223,18 @@ def numeric_jacobian(
     tgt = slice_chart(c, f.target.weights)
     dim = src.dimension
     jac = np.empty((dim, dim))
-    lift_radius = max(DEFAULT_CHART_RADIUS, 10 * step)
     for k in range(dim):
         cols = []
-        for s in (step, -step):
+        for s in (FD_STEP, -FD_STEP):
             coeffs = np.zeros(dim)
             coeffs[k] = s
-            y = src.point(coeffs)
-            lift = slice_lift(f, x, y, radius=lift_radius, residual_tol=residual_tol)
+            lift = slice_lift(f, x, src.point(coeffs))
             cols.append(tgt.frame @ (_to_real(lift.corrected) - _to_real(c)))
-        jac[:, k] = (cols[0] - cols[1]) / (2.0 * step)
+        jac[:, k] = (cols[0] - cols[1]) / (2.0 * FD_STEP)
     smallest = float(np.linalg.svd(jac, compute_uv=False)[-1])
-    if smallest <= sv_threshold:
+    if smallest <= SV_THRESHOLD:
         raise IrregularPointError(
-            f"smallest singular value {smallest:.3g} is below the threshold {sv_threshold:.3g}"
+            f"smallest singular value {smallest:.3g} is below the threshold {SV_THRESHOLD:.3g}"
         )
     sign = 1 if np.linalg.det(jac) > 0 else -1
     return JacobianCertificate(sign, smallest)
@@ -286,8 +269,8 @@ def weighted_count_profile(
     """Raw and weighted preimage counts at each sampled regular value."""
     samples = []
     for y in values:
-        records = preimages(f, y, cap)
-        samples.append(ArcSample(y, len(records), sum(rec.weight for rec in records)))
+        columns = preimage_columns(f, y, cap)
+        samples.append(ArcSample(y, len(columns), len(columns) * columns.weight))
     return samples
 
 

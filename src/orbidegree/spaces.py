@@ -225,6 +225,9 @@ def singular_dimension(x: WpsPoint) -> int:
     return 2 * sum(1 for w in iso.chart_weights if w == 0)
 
 
+ENDPOINT_TOL = 1e-8  # angles this close to 0 or pi are fixed by the reflection
+
+
 @dataclass(frozen=True)
 class CircleQuotient:
     """S^1 // G for G a rotation group Z_k (free) or the reflection Z_2."""
@@ -260,10 +263,11 @@ class CircleQuotient:
             return min(theta, two_pi - theta)
         return theta % self.period
 
-    def isotropy_order(self, theta: float, tol: float = 1e-8) -> int:
+    def isotropy_order(self, theta: float) -> int:
+        """2 within ENDPOINT_TOL of the reflection's fixed points 0 and pi, else 1."""
         if self.is_reflection:
             folded = self.fold(theta)
-            if folded < tol or abs(folded - math.pi) < tol:
+            if folded < ENDPOINT_TOL or abs(folded - math.pi) < ENDPOINT_TOL:
                 return 2
         return 1
 

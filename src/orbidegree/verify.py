@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -262,9 +261,8 @@ def check_covering(max_order: int = 6) -> PropertyReport:
     for k, m, b in grid:
         induced = covering_degree(k, m, b)
         upstairs = covering_degree(1, m, 1)  # plain winding count, measured numerically
-        expected = Fraction(upstairs * b, k)
         report.record(
-            Fraction(induced) == expected,
+            induced * k == upstairs * b,
             {"case": [k, m, b], "induced": induced, "upstairs": upstairs},
         )
     return report

@@ -5,14 +5,23 @@ stabilizer chain: scale the first nonzero coordinate to turn 0, try each of
 the q0 residual scalings, and keep the lexicographically least tuple of
 turns (a zero coordinate sorts first).  It costs O(q0) Fraction operations
 per point, so tests use it only with small weights.
+
+``scalar_circle_degree2`` is the circle root finder the library used before
+its single vectorized pass: a Python loop over every grid step, bisection
+plus Newton polish per bracket, a per-root derivative, and orbit grouping by
+a scan over the groups found so far, tallied with Fraction.  It costs a few
+milliseconds per target, so tests use it only on maps the grid resolves.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from orbidegree.circle import TWO_PI, circle_eval
+from orbidegree.errors import CriticalValueError, NoConvergenceError, NonIntegralWeightError
 from orbidegree.maps import MonomialMap
 from orbidegree.spaces import WpsOrbifold
 
@@ -66,3 +75,103 @@ def maps_with_values(draw, max_fibre=400):
             coords.append(f"{draw(st.integers(min_value=0, max_value=order - 1))}/{order}")
     assume(any(c != "0" for c in coords))
     return f, f.target.point(*coords)
+
+
+def _wrap(delta):
+    return (np.asarray(delta) + math.pi) % TWO_PI - math.pi
+
+
+def _refine_root(func, target, lo, hi, tol):
+    def g(t):
+        return float(_wrap(func(t) - target))
+
+    f_lo = g(lo)
+    if f_lo == 0.0:
+        return lo
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = g(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0) == (f_mid < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    h = 1e-7
+    for _ in range(5):
+        slope = float(_wrap(func(theta + h) - func(theta - h))) / (2.0 * h)
+        if slope == 0.0:
+            break
+        step = g(theta) / slope
+        if not math.isfinite(step):
+            break
+        theta -= step
+    if abs(g(theta)) > 1e-6:
+        raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
+    return theta % TWO_PI
+
+
+def _scalar_upstairs_roots(m, targets, seeds=4096, tol=1e-12, cluster=1e-8):
+    grid = np.linspace(0.0, TWO_PI, seeds + 1)
+    values = circle_eval(m, grid)
+
+    def func(t):
+        return circle_eval(m, t)
+
+    roots = []
+    for target in targets:
+        diff = _wrap(values - target)
+        small = np.abs(diff) < 0.5 * math.pi
+        for i in range(seeds):
+            if diff[i] == 0.0:
+                roots.append(float(grid[i]) % TWO_PI)
+                continue
+            if small[i] and small[i + 1] and diff[i] * diff[i + 1] < 0:
+                roots.append(_refine_root(func, target, float(grid[i]), float(grid[i + 1]), tol))
+    roots.sort()
+    deduped = []
+    for t in roots:
+        if deduped and (t - deduped[-1] < cluster or (TWO_PI - t) + deduped[0] < cluster):
+            continue
+        deduped.append(t)
+    return deduped
+
+
+def scalar_circle_degree2(m, value, threshold=1e-8, cluster=1e-8):
+    """(weighted count, mod2, [(angle, derivative sign, isotropy)]) of m at value."""
+    psi = value % TWO_PI
+    if m.codomain.is_reflection:
+        targets = sorted({psi, (TWO_PI - psi) % TWO_PI})
+    else:
+        period = m.codomain.period
+        targets = [(psi % period) + j * period for j in range(m.codomain.order)]
+    roots = _scalar_upstairs_roots(m, targets)
+    slopes = {}
+    for theta in roots:
+        h = 1e-6
+        slope = float(_wrap(circle_eval(m, theta + h) - circle_eval(m, theta - h))) / (2.0 * h)
+        if abs(slope) <= threshold:
+            raise CriticalValueError(f"preimage at theta={theta:.6f} has derivative {slope:.3g}")
+        slopes[theta] = slope
+    groups = {}
+    for theta in roots:
+        folded = m.domain.fold(theta)
+        for rep in groups:
+            if abs(folded - rep) < cluster:
+                groups[rep].append(theta)
+                break
+        else:
+            groups[folded] = [theta]
+    value_isotropy = m.codomain.isotropy_order(psi)
+    points = []
+    total = Fraction(0)
+    for rep in sorted(groups):
+        point_isotropy = m.domain.isotropy_order(rep)
+        points.append((rep, 1 if slopes[groups[rep][0]] > 0 else -1, point_isotropy))
+        total += Fraction(value_isotropy, point_isotropy)
+    if total.denominator != 1:
+        raise NonIntegralWeightError(f"weighted count {total} is not an integer")
+    return int(total), int(total) % 2, points

@@ -4,6 +4,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
@@ -195,6 +196,43 @@ def test_config_file(capsys, tmp_path):
         capsys, "degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--config", str(bad)
     )
     assert code == 2 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"cap": "abc"}',
+    '{"cap": 2.5}',
+    '{"cap": true}',
+    '{"seed": "7"}',
+    '{"seed": null}',
+    '{"format": "yaml"}',
+    '"rst"',
+    '[1, 2]',
+    '{"residual_tol": 1e-9}',
+    '{"derivative_threshold": 1e-8}',
+    '{"fd_step": 1e-5}',
+    '{"cap": ',
+])
+def test_invalid_config_exits_2(capsys, tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out, err = run_cli(
+        capsys, "degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--config", str(config)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_config_cap_null_means_no_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBIDEGREE_ENUM_CAP", raising=False)
+    argv = ["degree", "--q", "1,1", "--r", "1,1", "--e", "4000,4000", "--format", "text"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 5  # 1.6e7 tuples exceed the default cap of 10^7
+    config = tmp_path / "config.json"
+    config.write_text('{"cap": null, "seed": 3}')
+    code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 0
+    assert out.startswith("degree 4000 ")
 
 
 def test_unknown_suite_exit_2(capsys):

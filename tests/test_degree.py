@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
 
 from orbidegree.degree import (
+    PreimageColumns,
     _solve_fibre,
     degree,
     degree_closed_form,
@@ -130,6 +131,15 @@ def test_smooth_values_have_smooth_preimages():
     g = MonomialMap.from_projective((1, 1, 5))
     with pytest.raises(PreconditionViolatedError):
         smooth_preimage_check(g, g.target.axis_point(0))  # smooth but critical
+
+
+def test_smooth_preimage_check_builds_no_records(monkeypatch):
+    def refuse(self, row):
+        raise AssertionError("a preimage record was built")
+
+    monkeypatch.setattr(PreimageColumns, "record", refuse)
+    f = MonomialMap.from_projective((2, 3, 5))
+    assert smooth_preimage_check(f, f.target.all_ones())
 
 
 def test_weighted_cardinality_examples():

@@ -1,12 +1,14 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from orbidegree.degree import preimages
+from orbidegree.degree import PreimageColumns, preimages
 from orbidegree.errors import IrregularPointError, PreconditionViolatedError
 from orbidegree.maps import MonomialMap
 from orbidegree.slices import (
+    CHART_RADIUS,
     numeric_jacobian,
     ring_values_through_axis,
     slice_chart,
@@ -162,3 +164,32 @@ def test_weighted_count_profile_and_csv(tmp_path):
     assert lines[0] == "value,raw_count,weighted_count"
     assert len(lines) == 27
     assert lines[1].endswith(",1,3")  # the axis value: one preimage, weighted count 3
+
+
+def test_weighted_count_profile_builds_no_records(monkeypatch):
+    f13 = MonomialMap.from_projective((1, 3))
+    values = ring_values_through_axis(f13.target, axis=1, order=5)
+    records = [preimages(f13, y) for y in values]
+    expected = [(len(recs), sum(r.weight for r in recs)) for recs in records]
+
+    def refuse(self, row):
+        raise AssertionError("a preimage record was built")
+
+    monkeypatch.setattr(PreimageColumns, "record", refuse)
+    samples = weighted_count_profile(f13, values)
+    assert [(s.raw_count, s.weighted_count) for s in samples] == expected
+
+
+def test_numeric_engines_take_no_tolerance_arguments():
+    assert list(inspect.signature(slice_lift).parameters) == ["f", "x", "y"]
+    assert list(inspect.signature(numeric_jacobian).parameters) == ["f", "x"]
+    assert list(inspect.signature(slice_chart).parameters) == ["z", "weights"]
+    assert not hasattr(slice_chart(np.array([1.0, 0j]), (1, 1)), "radius")
+
+
+def test_slice_lift_refuses_a_point_outside_the_chart_radius():
+    f = MonomialMap.from_projective((1, 3))
+    x = np.array([1.0, 1.0 + 0j]) / math.sqrt(2)
+    far = np.array([1.0, np.exp(1j * 4 * CHART_RADIUS)]) / math.sqrt(2)
+    with pytest.raises(PreconditionViolatedError):
+        slice_lift(f, x, far)
