@@ -9,10 +9,13 @@ with identical configuration print byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .degree import (
     DEFAULT_ENUMERATION_CAP,
@@ -120,12 +123,16 @@ _SLOT = "<int>"
 def _dumps_with_preimages(payload: dict, columns: PreimageColumns) -> str:
     """json.dumps(payload, indent=2) with the preimage records as a last "preimages" key.
 
-    The records are written straight from the columns: one record is dumped
-    in place with a slot for each per-point integer, which makes a
-    %-template in json.dumps layout, and the template is filled once per point.
+    The records are written straight from the columns, column by column: the
+    first record is dumped in place with a slot for each of its k per-point
+    integers, and the text between the slots gives k + 1 constant pieces.
+    The output is one list of n * (2k + 1) strings for n points; each piece
+    fills its stride by one slice assignment, and each integer column fills
+    its stride with decimal strings made once per distinct value
+    (np.unique), so int64 and object columns take the same path.
     """
-    rows = columns.rows()
-    record = columns.record(rows[0]).to_json()
+    first = [v for pair in zip(columns.num[0].tolist(), columns.den[0].tolist()) for v in pair]
+    record = columns.record(first).to_json()
     coords = record["point"]["coords"]
     for i in columns.support:  # keys in to_json order: num, den, as in each row
         coords[i] = dict.fromkeys(coords[i], _SLOT)
@@ -133,8 +140,19 @@ def _dumps_with_preimages(payload: dict, columns: PreimageColumns) -> str:
     opening = '"preimages": [\n'
     start = text.rindex(opening) + len(opening)
     end = text.rindex("\n", 0, text.rindex("\n"))  # before the closing "  ]\n}"
-    template = text[start:end].replace("%", "%%").replace(json.dumps(_SLOT), "%d")
-    return text[:start] + ",\n".join([template % row for row in rows]) + text[end:]
+    pieces = text[start:end].split(json.dumps(_SLOT))
+    pieces[-1] += ",\n"
+    n, stride = len(columns), 2 * len(pieces) - 1
+    out = [""] * (n * stride)
+    for k, piece in enumerate(pieces):
+        out[2 * k :: stride] = [piece] * n
+    for k in range(len(pieces) - 1):
+        column = (columns.num if k % 2 == 0 else columns.den)[:, k // 2]
+        distinct, index = np.unique(column, return_inverse=True)
+        decimal = np.array([str(v) for v in distinct.tolist()], dtype=object)
+        out[2 * k + 1 :: stride] = decimal[index].tolist()
+    out[-1] = pieces[-1][: -len(",\n")]
+    return text[:start] + "".join(out) + text[end:]
 
 
 def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:
@@ -180,8 +198,7 @@ def _cmd_degree(args: argparse.Namespace, config: CliConfig) -> int:
     y = _parse_value(args.value, f.target) if args.value else None
     result: DegreeResult = degree(f, y, cap=config.cap, include_preimages=False)
     if config.format == "json":
-        columns = preimage_columns(f, result.value, cap=config.cap)
-        print(_dumps_with_preimages(result.to_json(), columns))
+        print(_dumps_with_preimages(result.to_json(), result.preimage_columns()))
     else:
         print(f"degree {result.oriented} (mod2 {result.mod2}) at {args.value or 'default probe'}")
     return EXIT_OK
@@ -207,7 +224,9 @@ def _cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; every option defaults to None."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=None)
     common.add_argument("--config", help="JSON file with CliConfig overrides")

@@ -26,7 +26,7 @@ raises instead of falling back to the formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,11 @@ class DegreeResult:
     value: WpsPoint
     certificate: RegularityCertificate
     preimages: tuple[PreimageRecord, ...] | None = None
+    _fibre: _Fibre | None = field(default=None, repr=False, compare=False)
+
+    def preimage_columns(self) -> PreimageColumns:
+        """The preimage points as integer columns, built from the fibre this result solved."""
+        return _columns(self.value, self._fibre)
 
     def to_json(self) -> dict:
         data = {
@@ -119,6 +124,7 @@ def is_regular_value(f: MonomialMap, y: WpsPoint) -> bool:
 class _Fibre:
     """Solved fibre data: coset representatives plus the shared arithmetic context."""
 
+    space: WpsOrbifold  # the source space the preimage points live in
     support: tuple[int, ...]
     codes: np.ndarray
     sub_exponents: tuple[int, ...]
@@ -156,7 +162,7 @@ def _solve_fibre(f: MonomialMap, y: WpsPoint, cap: int | None) -> _Fibre:
     m_pt = math.gcd(*(q[i] for i in sup))
     shift = tuple((r[i] // g_val) % f.exponents[i] for i in sup)
     codes = coset_minima(e_sub, shift, cap)
-    return _Fibre(sup, codes, e_sub, g_val, m_pt, cert)
+    return _Fibre(f.source, sup, codes, e_sub, g_val, m_pt, cert)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,15 +196,16 @@ class PreimageColumns:
         coords = [ExactCoordinate.zero()] * len(self.space.weights)
         for k, i in enumerate(self.support):
             coords[i] = ExactCoordinate(RootOfUnity(row[2 * k], row[2 * k + 1]))
-        return PreimageRecord(WpsPoint(self.space, tuple(coords)), self.isotropy_order, self.weight)
+        point = WpsPoint._from_canonical(self.space, tuple(coords))
+        return PreimageRecord(point, self.isotropy_order, self.weight)
 
     def records(self) -> tuple[PreimageRecord, ...]:
         return tuple(self.record(row) for row in self.rows())
 
 
-def _columns(f: MonomialMap, y: WpsPoint, fibre: _Fibre) -> PreimageColumns:
+def _columns(y: WpsPoint, fibre: _Fibre) -> PreimageColumns:
     """Canonical preimage columns: point b has turns (a_i/m_i + b_i)/e_i on the support."""
-    q = f.source.weights
+    q = fibre.space.weights
     roots = [y.coords[i].root for i in fibre.support]
     moduli = [root.order * e for root, e in zip(roots, fibre.sub_exponents)]
     den = q[fibre.support[0]] * math.lcm(*moduli)
@@ -212,7 +219,7 @@ def _columns(f: MonomialMap, y: WpsPoint, fibre: _Fibre) -> PreimageColumns:
     cols = np.stack(canonical_numerators(q, fibre.support, numerators, den), axis=1)
     common = np.gcd(cols, den)
     return PreimageColumns(
-        f.source, fibre.support, cols // common, den // common, fibre.point_isotropy, fibre.weight
+        fibre.space, fibre.support, cols // common, den // common, fibre.point_isotropy, fibre.weight
     )
 
 
@@ -223,7 +230,7 @@ def preimage_columns(
 
     Rows follow the sorted canonical representatives of the fibre cosets.
     """
-    return _columns(f, y, _solve_fibre(f, y, cap))
+    return _columns(y, _solve_fibre(f, y, cap))
 
 
 def preimages(
@@ -269,7 +276,7 @@ def degree(
         y = f.target.all_ones()
     fibre = _solve_fibre(f, y, cap)
     count = fibre.count * fibre.weight
-    records = _columns(f, y, fibre).records() if include_preimages else None
+    records = _columns(y, fibre).records() if include_preimages else None
     return DegreeResult(
         weighted_count=count,
         mod2=count % 2,
@@ -277,6 +284,7 @@ def degree(
         value=y,
         certificate=fibre.certificate,
         preimages=records,
+        _fibre=fibre,
     )
 
 

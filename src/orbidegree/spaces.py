@@ -159,6 +159,18 @@ class WpsPoint:
             raise ValueError("at least one coordinate must be nonzero")
         object.__setattr__(self, "coords", _canonical_coords(self.space.weights, self.coords))
 
+    @classmethod
+    def _from_canonical(cls, space: WpsOrbifold, coords: tuple[ExactCoordinate, ...]) -> "WpsPoint":
+        """The point with ``coords``, which the caller guarantees are already canonical.
+
+        Skips the constructor's checks and canonical form; for points read
+        back from canonical columns (degree.PreimageColumns).
+        """
+        point = object.__new__(cls)
+        object.__setattr__(point, "space", space)
+        object.__setattr__(point, "coords", coords)
+        return point
+
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if not c.is_zero)

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleMap, circle_degree2, circle_eval, covering_degree
-from .degree import DEFAULT_ENUMERATION_CAP, degree, is_regular_value, weighted_cardinality
+from .degree import (
+    DEFAULT_ENUMERATION_CAP,
+    degree,
+    degree_closed_form,
+    is_regular_value,
+    weighted_cardinality,
+)
 from .maps import MonomialMap, compose
 from .roots import ExactCoordinate, RootOfUnity
 from .spaces import WpsOrbifold, WpsPoint, strata
@@ -218,12 +224,13 @@ def check_same_underlying(fa, fb, samples: int = 50, margin: float = 0.1) -> Pro
         "orbifold maps with the same underlying map have equal degrees",
     )
     if isinstance(fa, MonomialMap):
-        same_data = fa.descriptor() == fb.descriptor()
-        da = degree(fa, include_preimages=False).oriented
-        db = degree(fb, include_preimages=False).oriented
+        # both enumerations must meet one closed form at every regular support value
+        closed = [degree_closed_form(fa), degree_closed_form(fb)]
+        counts = [[weighted_cardinality(f, y) for y in regular_support_values(f)] for f in (fa, fb)]
         report.record(
-            same_data and da == db,
-            {"fa": fa.descriptor(), "fb": fb.descriptor(), "degrees": [da, db]},
+            closed[0] == closed[1]
+            and all(count == d for row, d in zip(counts, closed) for count in row),
+            {"fa": fa.descriptor(), "fb": fb.descriptor(), "closed_form": closed, "counts": counts},
         )
         return report
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -6,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
-from orbidegree.cli import main
+from oracles import _divisors, coordinate_turns, loop_canonical_turns, maps_with_values
+from orbidegree.cli import build_parser, main
 from orbidegree.degree import degree, degree_closed_form, preimages
 from orbidegree.maps import MonomialMap
+from orbidegree.orbits import coset_minima
 
 
 def run_cli(capsys, *argv):
@@ -317,3 +320,128 @@ def test_preimages_text_format(capsys):
                            "--value", "1/2,1/5", "--format", "text")
     assert code == 0
     assert out == "3 preimage points\n"
+
+
+def test_degree_json_solves_the_fibre_once(monkeypatch):
+    degree_mod = importlib.import_module("orbidegree.degree")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return coset_minima(*args, **kwargs)
+
+    monkeypatch.setattr(degree_mod, "coset_minima", counting)
+    text = _stdout(["degree", "--q", "1,2,3", "--r", "1,1,1", "--e", "6,3,2", "--value", "1/3,0/1,2/5"])
+    assert len(calls) == 1
+    assert len(json.loads(text)["preimages"]) == 6
+
+
+def _isolated(argv):
+    """(exit code, stdout) of one main call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _fresh_parser(argv):
+    """(exit code, stdout) of one main call with a newly built parser."""
+    build_parser.cache_clear()
+    return _isolated(argv)
+
+
+@pytest.mark.parametrize("first, second", [
+    (["degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--format", "text"],
+     ["degree", "--q", "1,1", "--r", "1,3", "--e", "1,3"]),
+    (["degree", "--q", "1,1", "--r", "1,5", "--e", "1,5", "--cap", "4"],
+     ["degree", "--q", "1,1", "--r", "1,5", "--e", "1,5"]),
+    (["preimages", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/2,1/5",
+      "--format", "text", "--cap", "2"],
+     ["preimages", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/2,1/5"]),
+])
+def test_flags_do_not_carry_over_between_calls(monkeypatch, first, second):
+    monkeypatch.delenv("ORBIDEGREE_ENUM_CAP", raising=False)
+    separate = [_fresh_parser(first), _fresh_parser(second)]
+    in_a_row = [_isolated(first), _isolated(second)]
+    assert in_a_row == separate
+    assert in_a_row[0] != in_a_row[1]
+
+
+_BAD_CSV = st.text(alphabet="0123456789,-/x ", max_size=12)
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _csv_of(values):
+    return st.lists(values, min_size=1, max_size=4).map(_csv)
+
+
+@st.composite
+def _equivariant_triple(draw):
+    """(q, r, e) with q_0 = r_0 = 1 and e_i = d * r_i / q_i."""
+    r = [1, *draw(st.lists(st.integers(1, 6), max_size=2))]
+    d = draw(st.integers(1, 12))
+    q = [1, *(draw(st.sampled_from(_divisors(d * ri))) for ri in r[1:])]
+    return q, r, [d * ri // qi for qi, ri in zip(q, r)]
+
+
+_COORD = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 11), st.integers(1, 12)),
+    st.builds("{}/{}".format, st.integers(0, 10**20), st.integers(1, 10**20)),
+)
+_BAD_COORD = st.one_of(st.just("0"), st.builds("{}/{}".format, st.integers(-3, 3), st.integers(-1, 0)))
+_WEIGHTS = _csv_of(st.integers(-2, 40))
+_MALFORMED = {
+    "q": st.one_of(_WEIGHTS, _BAD_CSV),
+    "r": st.one_of(_WEIGHTS, _BAD_CSV),
+    "e": st.one_of(_csv_of(st.integers(-2, 10**12)), _BAD_CSV),
+    "value": st.one_of(_csv_of(st.one_of(_COORD, _BAD_COORD)), _BAD_CSV),
+    "cap": st.one_of(st.integers(-2, 10000).map(str), _BAD_CSV),
+    "format": st.sampled_from(["xml", ""]),
+    "seed": st.sampled_from(["x", "-1", "1.5"]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for one command, with at most two of its fields drawn malformed."""
+    command = draw(st.sampled_from(["strata", "degree", "preimages", "verify"]))
+    broken = draw(st.sets(st.sampled_from(sorted(_MALFORMED)), max_size=2))
+
+    def field(name, good):
+        return draw(_MALFORMED[name]) if name in broken else good
+
+    if command == "strata":
+        args = draw(st.one_of(
+            st.one_of(_WEIGHTS, _BAD_CSV).map(lambda w: ["--wps", w]),
+            st.sampled_from(["reflection", "rotation", "rotation:3", "rotation:0",
+                             "rotation:-2", "rotation:x", "circle"]).map(lambda c: ["--circle", c]),
+            st.just([]),
+        ))
+    elif command == "verify":
+        args = [draw(st.sampled_from(["counterexample", "counterexample", "counterexamples"]))]
+    else:
+        q, r, e = draw(_equivariant_triple())
+        value = ",".join(draw(st.lists(_COORD, min_size=len(q), max_size=len(q))))
+        args = ["--q", field("q", _csv(q)), "--r", field("r", _csv(r)), "--e", field("e", _csv(e))]
+        if command == "preimages" or draw(st.booleans()):
+            args += ["--value", field("value", value)]
+    args += ["--cap", field("cap", "10000")]
+    for flag, good in (("format", draw(st.sampled_from(["json", "text"]))), ("seed", "3")):
+        if flag in broken or draw(st.booleans()):
+            args += ["--" + flag, field(flag, good)]
+    return [command, *args]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_argv())
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert 0 <= code <= 5, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "text" not in argv:
+        json.loads(out.getvalue())

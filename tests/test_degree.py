@@ -12,6 +12,7 @@ from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
 
 from orbidegree.degree import (
     PreimageColumns,
+    PreimageRecord,
     _solve_fibre,
     degree,
     degree_closed_form,
@@ -29,7 +30,8 @@ from orbidegree.errors import (
     PreconditionViolatedError,
 )
 from orbidegree.maps import MonomialMap, compose, underlying_image
-from orbidegree.spaces import WpsOrbifold, isotropy
+from orbidegree.roots import ExactCoordinate
+from orbidegree.spaces import WpsOrbifold, WpsPoint, isotropy
 from orbidegree.verify import random_composable_pairs, random_monomial_maps
 
 
@@ -311,6 +313,21 @@ def test_bulk_canonical_numerators_match_loop_oracle(data):
         tuple(coordinate_turns(rec.point.coords)[i] for i in columns.support) for rec in records
     ] == rows
     assert all(underlying_image(f, rec.point) == y for rec in records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_with_values())
+def test_records_from_columns_equal_constructor_built_records(data):
+    f, y = data
+    columns = preimage_columns(f, y)
+    for row, rec in zip(columns.rows(), columns.records()):
+        coords = [ExactCoordinate.zero()] * len(f.source.weights)
+        for k, i in enumerate(columns.support):
+            coords[i] = ExactCoordinate.unit(row[2 * k], row[2 * k + 1])
+        built = PreimageRecord(
+            WpsPoint(f.source, tuple(coords)), columns.isotropy_order, columns.weight
+        )
+        assert rec == built and hash(rec) == hash(built)
 
 
 def test_single_preimage_with_a_large_first_weight():

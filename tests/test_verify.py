@@ -56,6 +56,20 @@ def test_same_underlying_detects_mismatch_with_witness():
     assert any("pointwise_gap" in w or "value" in w for w in report.failures)
 
 
+def test_same_underlying_monomial_checks_enumeration_against_closed_form(monkeypatch):
+    f13 = MonomialMap.from_projective((1, 3))
+    report = check_same_underlying(f13, MonomialMap.from_descriptor(f13.descriptor()))
+    assert report.passed and report.cases == 1
+    assert not check_same_underlying(f13, MonomialMap.from_projective((1, 2))).passed
+    # a closed form that enumeration does not meet fails, even for one map against itself
+    import orbidegree.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "degree_closed_form", lambda f: 4)
+    report = check_same_underlying(f13, f13)
+    assert not report.passed
+    assert report.failures[0]["counts"] == [[3, 3], [3, 3]]
+
+
 def test_covering_check():
     report = check_covering()
     assert report.passed
