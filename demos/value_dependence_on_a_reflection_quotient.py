@@ -31,7 +31,7 @@ print("  -> the mod-2 degree depends on the value: the codimension-1 stratum mat
 
 even, odd = CircleMap.flat_even(), CircleMap.flat_odd()
 thetas = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
-fold_angles = np.vectorize(even.domain.fold)
+fold_angles = even.domain.fold
 gap = np.max(np.abs(fold_angles(circle_eval(even, thetas)) - fold_angles(circle_eval(odd, thetas))))
 print(f"\nflat pair: largest pointwise gap between the underlying maps: {gap:.2e}")
 

@@ -204,22 +204,23 @@ def _upstairs_roots(m: CircleMap, targets) -> np.ndarray:
 
 
 def _orbit_leaders(m: CircleMap, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Folded angles of the roots, and the index of each orbit's smallest root.
+    """Angle of each orbit of the roots, and the index of its smallest root.
 
-    Orbits come in increasing angle.  An orbit's angle and derivative
-    sign are read at its smallest upstairs root, so the choice between the
-    two reflection-symmetric roots of one orbit never depends on rounding.
-    On a rotation quotient a root that folds to just below the period is the
-    orbit of angle 0.
+    Orbits come in increasing angle.  An orbit's derivative sign is read at
+    its smallest upstairs root, so the choice between the two
+    reflection-symmetric roots of one orbit never depends on rounding.  On a
+    rotation quotient a root that folds to just below the period is the orbit
+    of angle 0, and such an orbit is reported at its 0-side angle.
     """
-    folded = np.array([m.domain.fold(t) for t in roots.tolist()])
-    key = folded.copy()
+    key = m.domain.fold(roots)
     if not m.domain.is_reflection:
         key[m.domain.period - key < ANGLE_CLUSTER] -= m.domain.period
     order = np.argsort(key)
     starts = np.flatnonzero(np.diff(key[order], prepend=-math.inf) >= ANGLE_CLUSTER)
     leaders = np.minimum.reduceat(order, starts)
-    return folded, leaders[np.argsort(folded[leaders])]
+    angles = np.maximum(key[leaders], 0.0)
+    by_angle = np.argsort(angles)
+    return angles[by_angle], leaders[by_angle]
 
 
 @dataclass(frozen=True)
@@ -278,10 +279,10 @@ def circle_degree2(m: CircleMap, value: float) -> CircleDegreeResult:
         i = critical[0]
         raise CriticalValueError(f"preimage at theta={roots[i]:.6f} has derivative {slopes[i]:.3g}")
 
-    folded, leaders = _orbit_leaders(m, roots)
+    angles, leaders = _orbit_leaders(m, roots)
     points = tuple(
         CirclePreimage(angle, 1 if slope > 0 else -1, m.domain.isotropy_order(angle))
-        for angle, slope in zip(folded[leaders].tolist(), slopes[leaders].tolist())
+        for angle, slope in zip(angles.tolist(), slopes[leaders].tolist())
     )
     # sum of |G_value| / |G_point| over the points, over a common denominator
     value_isotropy = m.codomain.isotropy_order(psi)

@@ -97,23 +97,16 @@ def load_config(args: argparse.Namespace) -> CliConfig:
     return config
 
 
-def _parse_weights(text: str) -> tuple[int, ...]:
+def _parse_weights(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"weights must be comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from exc
 
 
 def _parse_value(text: str, space: WpsOrbifold) -> WpsPoint:
     coords = tuple(ExactCoordinate.parse(part) for part in text.split(","))
     return WpsPoint(space, coords)
-
-
-def _emit(payload: dict | list, config: CliConfig, text_renderer=None) -> None:
-    if config.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text_renderer(payload) if text_renderer else json.dumps(payload, indent=2))
 
 
 # stands in for each per-point integer while the record template is dumped
@@ -159,14 +152,16 @@ def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:
     if (args.wps is None) == (args.circle is None):
         raise ValueError("give exactly one of --wps or --circle")
     if args.wps is not None:
-        space = WpsOrbifold(_parse_weights(args.wps))
+        space = WpsOrbifold(_parse_weights(args.wps, "--wps"))
         header = space.to_json()
     else:
         if args.circle == "reflection":
             space = CircleQuotient.reflection()
         elif args.circle.startswith("rotation"):
-            _, _, order = args.circle.partition(":")
-            space = CircleQuotient.rotation(int(order) if order else 1)
+            order = args.circle.partition(":")[2] or "1"
+            if not order.isdecimal():
+                raise ValueError(f"--circle rotation order must be an integer, got {order!r}")
+            space = CircleQuotient.rotation(int(order))
         else:
             raise ValueError("--circle must be 'reflection' or 'rotation[:k]'")
         header = space.to_json()
@@ -183,13 +178,13 @@ def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:
                 )
         return "\n".join(lines)
 
-    _emit(payload, config, render)
+    print(json.dumps(payload, indent=2) if config.format == "json" else render(payload))
     return EXIT_OK
 
 
 def _build_map(args: argparse.Namespace) -> MonomialMap:
     return MonomialMap.from_descriptor(
-        {"q": _parse_weights(args.q), "r": _parse_weights(args.r), "e": _parse_weights(args.e)}
+        {flag: _parse_weights(getattr(args, flag), f"--{flag}") for flag in ("q", "r", "e")}
     )
 
 

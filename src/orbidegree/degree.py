@@ -249,16 +249,10 @@ def weighted_cardinality(
 ) -> int:
     """Sum of |G_y|/|G_x| over the fibre of the regular value y.
 
-    Accumulated exactly; integrality is checked rather than rounded.
+    Every point carries the same weight, checked to be an integer rather than rounded.
     """
     fibre = _solve_fibre(f, y, cap)
-    total, rem = divmod(fibre.count * fibre.value_isotropy, fibre.point_isotropy)
-    if rem:
-        raise NonIntegralWeightError(
-            f"weighted count {fibre.count * fibre.value_isotropy}/{fibre.point_isotropy} "
-            "is not an integer; this is a bug"
-        )
-    return total
+    return fibre.count * fibre.weight
 
 
 def degree(
@@ -307,4 +301,4 @@ def smooth_preimage_check(
         raise PreconditionViolatedError(f"{y} is not a smooth point")
     if not is_regular_value(f, y):
         raise PreconditionViolatedError(f"{y} is not a regular value")
-    return preimage_columns(f, y, cap).isotropy_order == 1
+    return _solve_fibre(f, y, cap).point_isotropy == 1

@@ -145,7 +145,13 @@ class ExactCoordinate:
             return cls.zero()
         if "/" in text:
             a_str, m_str = text.split("/", 1)
-            return cls.unit(int(a_str), int(m_str))
+            try:
+                a, m = int(a_str), int(m_str)
+            except ValueError as exc:
+                raise ValueError(
+                    f"coordinate must be '0' or 'a/m' with integers a and m, got {text!r}"
+                ) from exc
+            return cls.unit(a, m)
         raise ValueError(f"coordinate must be '0' or 'a/m', got {text!r}")
 
     def __str__(self) -> str:

@@ -9,12 +9,13 @@ into the target slice.  phi solves a one-real-unknown orthogonality equation
 by Newton iteration (the acting group is a circle, so one parameter
 suffices, and the correction is unique in the window |phi| < pi/|G_image|).
 
-Finite differences of the corrected lift across orthonormal slice frames
-give the Jacobian whose determinant sign and smallest singular value certify
-orientation behaviour and regularity.  Frames are oriented so that
-(base point, orbit rotation direction, frame) is positively oriented in the
-ambient complex coordinates, which induces the complex orientation on the
-quotient uniformly in the weights; holomorphic chart lifts then have sign +1.
+Finite differences of the corrected lift across orthonormal slice frames,
+all 2*dim perturbed points lifted in one Newton kernel call, give the
+Jacobian whose determinant sign and smallest singular value certify
+orientation behaviour and regularity.  Frames are oriented so that (base
+point, orbit rotation direction, frame) is positively oriented in the ambient
+complex coordinates, which induces the complex orientation on the quotient
+uniformly in the weights; holomorphic chart lifts then have sign +1.
 """
 
 from __future__ import annotations
@@ -44,20 +45,22 @@ def sphere_point(x: WpsPoint) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
+# _to_real, _to_complex and _normalize act along the last axis: on one vector or on rows
 def _to_real(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
     return out
 
 
 def _to_complex(v: np.ndarray) -> np.ndarray:
-    return v[0::2] + 1j * v[1::2]
+    return v[..., 0::2] + 1j * v[..., 1::2]
 
 
 def _normalize(z: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
+    # one vector keeps np.linalg.norm's 1-D path, whose rounding differs from the row-wise one
+    norm = np.linalg.norm(z) if z.ndim == 1 else np.linalg.norm(z, axis=-1, keepdims=True)
+    if (norm == 0.0).any():
         raise ValueError("cannot normalize the zero vector")
     return z / norm
 
@@ -81,7 +84,7 @@ class SliceChart:
         return self.frame.shape[0]
 
     def point(self, coeffs: np.ndarray) -> np.ndarray:
-        """Slice point with the given frame coefficients, renormalized to the sphere."""
+        """Slice point with the given frame coefficients (or one per row), on the sphere."""
         v = _to_real(self.base) + np.asarray(coeffs, dtype=float) @ self.frame
         return _normalize(_to_complex(v))
 
@@ -142,6 +145,38 @@ def _as_sphere(x) -> np.ndarray:
     return _normalize(np.asarray(x, dtype=complex))
 
 
+def _corrected(f: MonomialMap, c: np.ndarray, w: np.ndarray):
+    """Push each row of w (images f(y), shape m x (n+1)) into the slice at the image c.
+
+    Row b gets the phase phi_b with e^{i phi_b r} . w_b orthogonal to the
+    orbit direction at c: one Newton iteration over all rows, from phi = 0,
+    until every residual is below RESIDUAL_TOL (a row already below it keeps
+    its phase).  Returns (corrected rows, phases, residuals, iterations).
+    """
+    r = np.array(f.target.weights)
+    # alternative corrections differ by 2*pi/g for g the image stabilizer order
+    window = np.pi / int(np.gcd.reduce(r[np.abs(c) > 1e-12]))
+    # residual(phi) = <e^{i phi r} . w, i*r*c>_R = Im sum_i r_i e^{i r_i phi} w_i conj(c_i)
+    inner = w * np.conj(c)
+    phi = np.zeros(len(w))
+    for iterations in range(NEWTON_MAX_ITER + 1):
+        rot = np.exp(1j * r * phi[:, None]) * inner
+        res = (r * rot.imag).sum(axis=-1)
+        todo = np.abs(res) >= RESIDUAL_TOL
+        if not np.abs(phi).max() < window:
+            break
+        if not todo.any():
+            return np.exp(1j * r * phi[:, None]) * w, phi, res, iterations
+        slope = (r * r * rot.real).sum(axis=-1)
+        if not slope.all(where=todo):
+            break
+        phi -= np.divide(res, slope, out=np.zeros_like(res), where=todo)
+    raise NewtonDivergedError(
+        f"phase correction stalled at |phi| up to {np.abs(phi).max():.3g} (window "
+        f"{window:.3g}), residual up to {np.abs(res).max():.3g}; retry with y closer to x"
+    )
+
+
 def slice_lift(f: MonomialMap, x, y) -> LiftEvaluation:
     """Correct the image of y into the slice at the image of x.
 
@@ -155,49 +190,18 @@ def slice_lift(f: MonomialMap, x, y) -> LiftEvaluation:
         raise PreconditionViolatedError(
             f"|y - x| = {np.linalg.norm(y - x):.3g} exceeds the chart radius {CHART_RADIUS}"
         )
-    q = np.array(f.source.weights)
     tangent_src = orbit_direction(x, f.source.weights)
     if abs(np.vdot(tangent_src, y).real) / np.linalg.norm(tangent_src) > 1e-6:
         raise PreconditionViolatedError("y does not lie in the slice at x")
 
-    r = np.array(f.target.weights)
-    c = evaluate_upstairs(f, x)
-    w = evaluate_upstairs(f, y)
-
-    # residual(phi) = <e^{i phi r} . w, i*r*c>_R = Im sum_i r_i e^{i r_i phi} w_i conj(c_i)
-    inner = w * np.conj(c)
-
-    def residual_and_slope(phi: float) -> tuple[float, float]:
-        rot = np.exp(1j * r * phi) * inner
-        return float(np.sum(r * rot.imag)), float(np.sum(r * r * rot.real))
-
-    # alternative corrections differ by 2*pi/g for g the image stabilizer order
-    support = np.abs(c) > 1e-12
-    g_image = int(np.gcd.reduce(r[support]))
-    window = np.pi / g_image
-
-    phi = 0.0
-    res, slope = residual_and_slope(phi)
-    iterations = 0
-    while abs(res) >= RESIDUAL_TOL:
-        if iterations >= NEWTON_MAX_ITER or slope == 0.0 or abs(phi) >= window:
-            raise NewtonDivergedError(
-                f"phase correction stalled at phi={phi:.3g}, residual={res:.3g}; "
-                "retry with y closer to x"
-            )
-        phi -= res / slope
-        res, slope = residual_and_slope(phi)
-        iterations += 1
-    if abs(phi) >= window:
-        raise NewtonDivergedError(f"phase {phi:.3g} left the uniqueness window {window:.3g}")
-
-    corrected = np.exp(1j * r * phi) * w
-    src_chart = slice_chart(x, f.source.weights)
+    corrected, phase, residual, iterations = _corrected(
+        f, evaluate_upstairs(f, x), evaluate_upstairs(f, y)[None]
+    )
     return LiftEvaluation(
-        slice_coords=src_chart.coords(y),
-        corrected=corrected,
-        phase=phi,
-        residual=res,
+        slice_coords=slice_chart(x, f.source.weights).coords(y),
+        corrected=corrected[0],
+        phase=float(phase[0]),
+        residual=float(residual[0]),
         iterations=iterations,
     )
 
@@ -214,23 +218,18 @@ class JacobianCertificate:
 def numeric_jacobian(f: MonomialMap, x) -> JacobianCertificate:
     """Central-difference Jacobian (step FD_STEP) of the corrected lift across the slice frames.
 
-    Returns the determinant sign together with the smallest singular value;
-    raises IrregularPointError when the latter is at or below SV_THRESHOLD.
+    The 2*dim points x +- FD_STEP * frame_k are lifted together.  Returns the
+    determinant sign together with the smallest singular value; raises
+    IrregularPointError when the latter is at or below SV_THRESHOLD.
     """
     x = _as_sphere(x)
     src = slice_chart(x, f.source.weights)
     c = evaluate_upstairs(f, x)
     tgt = slice_chart(c, f.target.weights)
-    dim = src.dimension
-    jac = np.empty((dim, dim))
-    for k in range(dim):
-        cols = []
-        for s in (FD_STEP, -FD_STEP):
-            coeffs = np.zeros(dim)
-            coeffs[k] = s
-            lift = slice_lift(f, x, src.point(coeffs))
-            cols.append(tgt.frame @ (_to_real(lift.corrected) - _to_real(c)))
-        jac[:, k] = (cols[0] - cols[1]) / (2.0 * FD_STEP)
+    steps = FD_STEP * np.eye(src.dimension)  # row k: a step along frame_k
+    points = src.point(np.vstack([steps, -steps]))
+    plus, minus = np.split(_corrected(f, c, evaluate_upstairs(f, points))[0], 2)
+    jac = tgt.frame @ _to_real(plus - minus).T / (2.0 * FD_STEP)
     smallest = float(np.linalg.svd(jac, compute_uv=False)[-1])
     if smallest <= SV_THRESHOLD:
         raise IrregularPointError(

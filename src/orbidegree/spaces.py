@@ -23,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotEffectiveError
 from .roots import ExactCoordinate, RootOfUnity
 
@@ -267,13 +269,13 @@ class CircleQuotient:
         """Length of the fundamental domain: 2*pi/k for rotations, pi for the reflection."""
         return math.pi if self.is_reflection else 2.0 * math.pi / self.order
 
-    def fold(self, theta: float) -> float:
-        """Canonical representative of the orbit of the angle theta."""
+    def fold(self, theta):
+        """Canonical representative of the orbit of the angle theta; elementwise on arrays."""
         two_pi = 2.0 * math.pi
-        theta = theta % two_pi
+        theta = np.remainder(theta, two_pi)
         if self.is_reflection:
-            return min(theta, two_pi - theta)
-        return theta % self.period
+            return np.minimum(theta, two_pi - theta)
+        return np.remainder(theta, self.period)
 
     def isotropy_order(self, theta: float) -> int:
         """2 within ENDPOINT_TOL of the reflection's fixed points 0 and pi, else 1."""

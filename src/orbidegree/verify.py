@@ -236,7 +236,7 @@ def check_same_underlying(fa, fb, samples: int = 50, margin: float = 0.1) -> Pro
 
     # circle pair: underlying evaluations must agree pointwise on the quotient
     thetas = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
-    fold = np.vectorize(fa.domain.fold)
+    fold = fa.domain.fold
     gap = float(np.max(np.abs(fold(circle_eval(fa, thetas)) - fold(circle_eval(fb, thetas)))))
     report.record(gap < 1e-12, {"pointwise_gap": gap})
     for value in np.linspace(margin, math.pi - margin, samples):

@@ -11,6 +11,14 @@ its single vectorized pass: a Python loop over every grid step, bisection
 plus Newton polish per bracket, a per-root derivative, and orbit grouping by
 a scan over the groups found so far, tallied with Fraction.  It costs a few
 milliseconds per target, so tests use it only on maps the grid resolves.
+``scalar_fold`` is the Python-float fold of ``CircleQuotient`` before it took
+arrays.
+
+``loop_slice_lift`` is the scalar Newton iteration the slice engine used
+before its array kernel: one point, a residual-and-slope closure, Python
+floats.  ``loop_numeric_jacobian`` is the Jacobian loop of that time, one
+lift per (frame vector, sign) pair, each re-checking its input and
+rebuilding the source chart.
 """
 
 import math
@@ -20,9 +28,18 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from orbidegree import slices
 from orbidegree.circle import TWO_PI, circle_eval
-from orbidegree.errors import CriticalValueError, NoConvergenceError, NonIntegralWeightError
+from orbidegree.errors import (
+    CriticalValueError,
+    IrregularPointError,
+    NewtonDivergedError,
+    NoConvergenceError,
+    NonIntegralWeightError,
+    PreconditionViolatedError,
+)
 from orbidegree.maps import MonomialMap
+from orbidegree.slices import LiftEvaluation, evaluate_upstairs, orbit_direction, slice_chart
 from orbidegree.spaces import WpsOrbifold
 
 
@@ -175,3 +192,73 @@ def scalar_circle_degree2(m, value, threshold=1e-8, cluster=1e-8):
     if total.denominator != 1:
         raise NonIntegralWeightError(f"weighted count {total} is not an integer")
     return int(total), int(total) % 2, points
+
+
+def scalar_fold(quotient, theta):
+    two_pi = 2.0 * math.pi
+    theta = theta % two_pi
+    if quotient.is_reflection:
+        return min(theta, two_pi - theta)
+    return theta % quotient.period
+
+
+def loop_slice_lift(f, x, y):
+    """slice_lift with the scalar Newton closure; same checks, same arithmetic."""
+    x = slices._as_sphere(x)
+    y = slices._as_sphere(y)
+    if np.linalg.norm(y - x) > slices.CHART_RADIUS:
+        raise PreconditionViolatedError("y lies outside the chart radius")
+    tangent_src = orbit_direction(x, f.source.weights)
+    if abs(np.vdot(tangent_src, y).real) / np.linalg.norm(tangent_src) > 1e-6:
+        raise PreconditionViolatedError("y does not lie in the slice at x")
+
+    r = np.array(f.target.weights)
+    c = evaluate_upstairs(f, x)
+    w = evaluate_upstairs(f, y)
+    inner = w * np.conj(c)
+
+    def residual_and_slope(phi):
+        rot = np.exp(1j * r * phi) * inner
+        return float(np.sum(r * rot.imag)), float(np.sum(r * r * rot.real))
+
+    support = np.abs(c) > 1e-12
+    g_image = int(np.gcd.reduce(r[support]))
+    window = np.pi / g_image
+
+    phi = 0.0
+    res, slope = residual_and_slope(phi)
+    iterations = 0
+    while abs(res) >= slices.RESIDUAL_TOL:
+        if iterations >= slices.NEWTON_MAX_ITER or slope == 0.0 or abs(phi) >= window:
+            raise NewtonDivergedError(f"phase correction stalled at phi={phi:.3g}")
+        phi -= res / slope
+        res, slope = residual_and_slope(phi)
+        iterations += 1
+    if abs(phi) >= window:
+        raise NewtonDivergedError(f"phase {phi:.3g} left the uniqueness window {window:.3g}")
+
+    corrected = np.exp(1j * r * phi) * w
+    src_chart = slice_chart(x, f.source.weights)
+    return LiftEvaluation(src_chart.coords(y), corrected, phi, res, iterations)
+
+
+def loop_numeric_jacobian(f, x):
+    """(sign, smallest singular value) from one loop_slice_lift per perturbed point."""
+    x = slices._as_sphere(x)
+    src = slice_chart(x, f.source.weights)
+    c = evaluate_upstairs(f, x)
+    tgt = slice_chart(c, f.target.weights)
+    dim = src.dimension
+    jac = np.empty((dim, dim))
+    for k in range(dim):
+        cols = []
+        for s in (slices.FD_STEP, -slices.FD_STEP):
+            coeffs = np.zeros(dim)
+            coeffs[k] = s
+            lift = loop_slice_lift(f, x, src.point(coeffs))
+            cols.append(tgt.frame @ (slices._to_real(lift.corrected) - slices._to_real(c)))
+        jac[:, k] = (cols[0] - cols[1]) / (2.0 * slices.FD_STEP)
+    smallest = float(np.linalg.svd(jac, compute_uv=False)[-1])
+    if smallest <= slices.SV_THRESHOLD:
+        raise IrregularPointError(f"smallest singular value {smallest:.3g}")
+    return (1 if np.linalg.det(jac) > 0 else -1), smallest

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import scalar_circle_degree2
 from orbidegree.circle import (
+    ANGLE_CLUSTER,
     BOUNDED_RATE,
     TWO_PI,
     CircleMap,
@@ -164,6 +165,17 @@ def test_orbit_across_the_period_is_counted_once(power, k, b, expected):
     assert scalar_circle_degree2(m, 0.0)[0] == expected + 1  # the old count
 
 
+def test_orbit_just_below_the_period_is_reported_at_angle_0():
+    # one ulp below 2*pi, winding(3) has a root just below the period; its
+    # orbit is the orbit of angle 0 and is reported there, first
+    m, value = CircleMap.winding(3), 6.2831853071795845
+    points = circle_degree2(m, value).preimages.points
+    assert [p.angle for p in points][0] == 0.0
+    count, mod2, expected = scalar_circle_degree2(m, value)
+    assert [p.angle for p in points] == pytest.approx([pt[0] for pt in expected], abs=1e-10)
+    assert circle_degree2(m, value).weighted_count == count == 3
+
+
 def test_orbit_sign_is_read_at_its_smallest_root():
     # theta and 2*pi - theta are one orbit of the reflection, with opposite
     # derivative signs under the even flat map
@@ -205,6 +217,8 @@ def _outcome(func, m, value):
 
 @settings(max_examples=60, deadline=None)
 @given(circle_maps, st.floats(0.0, TWO_PI, exclude_max=True))
+@example(CircleMap.winding(3), 6.2831853071795845)
+@example(CircleMap.winding(1), 6.2831853071795845)
 def test_one_pass_matches_the_scalar_root_finder(m, value):
     expected = _outcome(scalar_circle_degree2, m, value)
     result = _outcome(circle_degree2, m, value)
@@ -220,6 +234,11 @@ def test_one_pass_matches_the_scalar_root_finder(m, value):
             # boundary and at the grid limit; see the regression tests above
             return
     assert (result.weighted_count, result.mod2) == (count, mod2)
+    if not m.domain.is_reflection:
+        # the scalar finder reports an orbit on the period seam on whichever side
+        # its root rounded to; the one pass reports it at angle 0
+        period = m.domain.period
+        points = sorted((0.0 if period - a < ANGLE_CLUSTER else a, *rest) for a, *rest in points)
     got = result.preimages.points
     assert [(p.derivative_sign, p.isotropy_order) for p in got] == [pt[1:] for pt in points]
     assert all(abs(p.angle - pt[0]) < 1e-10 for p, pt in zip(got, points))

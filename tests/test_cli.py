@@ -152,6 +152,26 @@ def test_bad_value_encoding_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("degree", "--q", "1,1", "--r", "1,3", "--e", "x"), "--e"),
+        (("degree", "--q", "1,y", "--r", "1,3", "--e", "1,3"), "--q"),
+        (("preimages", "--q", "1,1", "--r", "1,", "--e", "1,3", "--value", "0,1/3"), "--r"),
+        (("strata", "--wps", "1,a"), "--wps"),
+        (("strata", "--circle", "rotation:x"), "--circle"),
+        (("degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/,0"), "'1/'"),
+        (("preimages", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "0,a/3"), "'a/3'"),
+    ],
+)
+def test_input_errors_name_the_bad_field(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "invalid literal" not in err and "weights must" not in err
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = run_cli(capsys, "verify", "counterexample")
     assert code == 0

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import itertools
 import math
 from dataclasses import replace
@@ -33,6 +34,8 @@ from orbidegree.maps import MonomialMap, compose, underlying_image
 from orbidegree.roots import ExactCoordinate
 from orbidegree.spaces import WpsOrbifold, WpsPoint, isotropy
 from orbidegree.verify import random_composable_pairs, random_monomial_maps
+
+degree_module = importlib.import_module("orbidegree.degree")
 
 
 def oracle_preimage_count(f, y):
@@ -142,6 +145,27 @@ def test_smooth_preimage_check_builds_no_records(monkeypatch):
     monkeypatch.setattr(PreimageColumns, "record", refuse)
     f = MonomialMap.from_projective((2, 3, 5))
     assert smooth_preimage_check(f, f.target.all_ones())
+
+
+def test_smooth_preimage_check_and_weighted_cardinality_build_no_columns(monkeypatch):
+    def refuse(y, fibre):
+        raise AssertionError("preimage columns were built")
+
+    monkeypatch.setattr(degree_module, "_columns", refuse)
+    f = MonomialMap.from_projective((2, 3, 5))
+    assert smooth_preimage_check(f, f.target.all_ones())
+    assert weighted_cardinality(f, f.target.all_ones()) == 30
+
+
+def test_weighted_cardinality_checks_the_weight_of_each_point(monkeypatch):
+    # two points of weight 3/2 sum to the integer 3, but no point can weigh 3/2
+    f = MonomialMap(WpsOrbifold((1, 1)), WpsOrbifold((1, 1)), (2, 2))
+    fibre = _solve_fibre(f, f.target.all_ones(), None)
+    assert fibre.count == 2
+    skewed = replace(fibre, value_isotropy=3, point_isotropy=2)
+    monkeypatch.setattr(degree_module, "_solve_fibre", lambda *args: skewed)
+    with pytest.raises(NonIntegralWeightError):
+        weighted_cardinality(f, f.target.all_ones())
 
 
 def test_weighted_cardinality_examples():

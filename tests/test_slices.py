@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import loop_numeric_jacobian, loop_slice_lift
+from orbidegree import slices
 from orbidegree.degree import PreimageColumns, preimages
-from orbidegree.errors import IrregularPointError, PreconditionViolatedError
+from orbidegree.errors import IrregularPointError, NewtonDivergedError, PreconditionViolatedError
 from orbidegree.maps import MonomialMap
 from orbidegree.slices import (
     CHART_RADIUS,
@@ -193,3 +195,103 @@ def test_slice_lift_refuses_a_point_outside_the_chart_radius():
     far = np.array([1.0, np.exp(1j * 4 * CHART_RADIUS)]) / math.sqrt(2)
     with pytest.raises(PreconditionViolatedError):
         slice_lift(f, x, far)
+
+
+def _lift_corpus():
+    """(f, x, y) triples: random maps, base points with and without zero coordinates."""
+    rng = np.random.default_rng(11)
+    maps = random_monomial_maps(40, seed=21, max_product=400, max_n=3)
+    maps.append(MonomialMap.from_projective((1, 2, 3, 4)))
+    for f in maps:
+        n1 = len(f.source.weights)
+        for zero in (None, rng.integers(n1)):
+            x = random_sphere_point(rng, n1)
+            if zero is not None and n1 > 1:
+                x[zero] = 0.0
+                x /= np.linalg.norm(x)
+            chart = slice_chart(x, f.source.weights)
+            s = rng.normal(size=chart.dimension)
+            y = chart.point(s * 10 ** rng.uniform(-5, -1.2) / np.linalg.norm(s))
+            yield f, x, y
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (IrregularPointError, NewtonDivergedError, PreconditionViolatedError) as exc:
+        return type(exc)
+
+
+def test_slice_lift_equals_the_scalar_newton_loop_bit_for_bit():
+    triples = 0
+    for f, x, y in _lift_corpus():
+        got, expected = _outcome(slice_lift, f, x, y), _outcome(loop_slice_lift, f, x, y)
+        triples += 1
+        if isinstance(expected, type):
+            assert got is expected
+            continue
+        assert (got.phase, got.residual, got.iterations) == (
+            expected.phase, expected.residual, expected.iterations
+        )
+        assert got.corrected.tobytes() == expected.corrected.tobytes()
+        assert got.slice_coords.tobytes() == expected.slice_coords.tobytes()
+    assert triples == 82
+
+
+def _jacobian_cases():
+    for f, x, _ in _lift_corpus():
+        yield f, x
+    f = MonomialMap.from_projective((1, 2, 3, 4))
+    for rec in preimages(f, f.target.point("1/5", "2/7", "1/3", "3/11"))[:4]:
+        yield f, sphere_point(rec.point)
+    # exponents up to 35 magnify an unnormalized perturbed point past the 1e-9 bound
+    g = MonomialMap.to_projective((1, 5, 7))
+    for rec in preimages(g, g.target.point("1/13", "2/13", "3/13"))[:5]:
+        yield g, sphere_point(rec.point)
+    ident = MonomialMap.identity(WpsOrbifold((1, 2, 3, 4)))
+    yield ident, sphere_point(ident.source.point("0", "1/5", "0", "2/7"))  # isotropy Z_2
+    for k in (2, 3):
+        f = MonomialMap.from_projective((1, 1, k))
+        yield f, sphere_point(f.source.axis_point(0))  # irregular
+
+
+def test_numeric_jacobian_agrees_with_the_lift_loop():
+    outcomes = []
+    for f, x in _jacobian_cases():
+        got, expected = _outcome(numeric_jacobian, f, x), _outcome(loop_numeric_jacobian, f, x)
+        if isinstance(expected, type):
+            assert got is expected
+        else:
+            assert got.sign == expected[0]
+            assert got.smallest_singular_value == pytest.approx(expected[1], rel=1e-9, abs=0)
+        outcomes.append(expected if isinstance(expected, type) else "regular")
+    assert outcomes.count("regular") > 40 and outcomes.count(IrregularPointError) > 2
+
+
+def test_newton_iteration_cap_raises(monkeypatch):
+    f = MonomialMap.from_projective((1, 2, 3, 4))
+    x = sphere_point(f.source.all_ones())
+    y = slice_chart(x, f.source.weights).point(np.full(6, 1e-3))
+    monkeypatch.setattr(slices, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(NewtonDivergedError):
+        slice_lift(f, x, y)
+    with pytest.raises(NewtonDivergedError):
+        numeric_jacobian(f, x)
+
+
+def test_numeric_jacobian_builds_two_charts_and_no_lift(monkeypatch):
+    charts = []
+
+    def counting_chart(z, weights):
+        charts.append(weights)
+        return slice_chart(z, weights)
+
+    def refuse(*args):
+        raise AssertionError("numeric_jacobian called slice_lift")
+
+    monkeypatch.setattr(slices, "slice_chart", counting_chart)
+    monkeypatch.setattr(slices, "slice_lift", refuse)
+    f = MonomialMap.from_projective((1, 2, 3, 4))
+    cert = numeric_jacobian(f, sphere_point(f.source.all_ones()))
+    assert cert.sign == 1
+    assert charts == [f.source.weights, f.target.weights]

@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coordinate_turns, loop_canonical_turns
+from oracles import coordinate_turns, loop_canonical_turns, scalar_fold
 from orbidegree.errors import NotEffectiveError
 from orbidegree.roots import ExactCoordinate, RootOfUnity
 from orbidegree.spaces import (
@@ -209,6 +210,33 @@ def test_circle_quotient_folding():
     rot = CircleQuotient.rotation(3)
     assert rot.fold(2 * math.pi / 3 + 0.1) == pytest.approx(0.1)
     assert rot.isotropy_order(0.0) == 1
+
+
+quotients = st.one_of(
+    st.just(CircleQuotient.reflection()), st.integers(1, 8).map(CircleQuotient.rotation)
+)
+
+
+def _seam_angle(j, k, ulps):
+    """2*pi*j/k, moved by one ulp up or down or not at all."""
+    angle = 2 * math.pi * j / k
+    return float(np.nextafter(angle, math.inf * ulps)) if ulps else angle
+
+
+# angles on and one ulp either side of the seams, signed zeros, and plain floats
+angles = st.one_of(
+    st.builds(_seam_angle, st.integers(-16, 16), st.integers(1, 8), st.sampled_from([-1, 0, 1])),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.floats(-1e4, 1e4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients, st.lists(angles, min_size=1, max_size=40))
+def test_array_fold_equals_the_scalar_fold_bit_for_bit(quotient, thetas):
+    expected = np.array([scalar_fold(quotient, t) for t in thetas])
+    assert quotient.fold(np.array(thetas)).tobytes() == expected.tobytes()
+    assert np.array([quotient.fold(t) for t in thetas]).tobytes() == expected.tobytes()
 
 
 def test_point_json_round_trip():
