@@ -195,7 +195,7 @@ class PreimageColumns:
     def record(self, row: tuple[int, ...]) -> PreimageRecord:
         coords = [ExactCoordinate.zero()] * len(self.space.weights)
         for k, i in enumerate(self.support):
-            coords[i] = ExactCoordinate(RootOfUnity(row[2 * k], row[2 * k + 1]))
+            coords[i] = ExactCoordinate(RootOfUnity._from_reduced(row[2 * k], row[2 * k + 1]))
         point = WpsPoint._from_canonical(self.space, tuple(coords))
         return PreimageRecord(point, self.isotropy_order, self.weight)
 

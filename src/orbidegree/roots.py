@@ -36,6 +36,18 @@ class RootOfUnity:
         object.__setattr__(self, "order", self.order // g)
 
     @classmethod
+    def _from_reduced(cls, num: int, order: int) -> "RootOfUnity":
+        """exp(2*pi*i*num/order), which the caller guarantees is already canonical.
+
+        Skips the constructor's reduction; for roots read back from
+        lowest-terms columns (degree.PreimageColumns).
+        """
+        root = object.__new__(cls)
+        object.__setattr__(root, "num", num)
+        object.__setattr__(root, "order", order)
+        return root
+
+    @classmethod
     def one(cls) -> "RootOfUnity":
         return cls(0, 1)
 

@@ -12,7 +12,9 @@ plus Newton polish per bracket, a per-root derivative, and orbit grouping by
 a scan over the groups found so far, tallied with Fraction.  It costs a few
 milliseconds per target, so tests use it only on maps the grid resolves.
 ``scalar_fold`` is the Python-float fold of ``CircleQuotient`` before it took
-arrays.
+arrays.  ``loop_bisect`` is the root refinement of the one pass before its
+Illinois steps: plain bisection of a grid bracket down to REFINE_TOL, about
+33 evaluations per root.
 
 ``loop_slice_lift`` is the scalar Newton iteration the slice engine used
 before its array kernel: one point, a residual-and-slope closure, Python
@@ -29,7 +31,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from orbidegree import slices
-from orbidegree.circle import TWO_PI, circle_eval
+from orbidegree.circle import REFINE_TOL, RESIDUAL_TOL, TWO_PI, circle_eval
 from orbidegree.errors import (
     CriticalValueError,
     IrregularPointError,
@@ -127,6 +129,30 @@ def _refine_root(func, target, lo, hi, tol):
             break
         theta -= step
     if abs(g(theta)) > 1e-6:
+        raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
+    return theta % TWO_PI
+
+
+def loop_bisect(m, target, lo, hi):
+    """Shrink the bracket [lo, hi] around the zero of wrap(circle_eval(theta) - target)."""
+
+    def g(t: float) -> float:
+        return float(_wrap(circle_eval(m, t) - target))
+
+    f_lo = g(lo)
+    if f_lo == 0.0:
+        return lo
+    while hi - lo >= REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = g(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0) == (f_mid < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    theta = 0.5 * (lo + hi)
+    if abs(g(theta)) > RESIDUAL_TOL:
         raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
     return theta % TWO_PI
 

@@ -1,15 +1,21 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_circle_degree2
+import oracles
+from oracles import loop_bisect, scalar_circle_degree2
+from orbidegree import circle
 from orbidegree.circle import (
     ANGLE_CLUSTER,
     BOUNDED_RATE,
+    GRID,
+    REFINE_TOL,
+    SLOPE_STEP,
     TWO_PI,
     CircleMap,
     circle_degree2,
@@ -242,3 +248,165 @@ def test_one_pass_matches_the_scalar_root_finder(m, value):
     got = result.preimages.points
     assert [(p.derivative_sign, p.isotropy_order) for p in got] == [pt[1:] for pt in points]
     assert all(abs(p.angle - pt[0]) < 1e-10 for p, pt in zip(got, points))
+
+
+def _brackets(m, value):
+    """(target, lo, hi) of every grid bracket the one pass refines for m at value."""
+    seen = []
+    refine = circle._refine
+
+    def record(m, target, lo, hi):
+        seen.append((target, lo, hi))
+        return refine(m, target, lo, hi)
+
+    with mock.patch.object(circle, "_refine", record):
+        _outcome(circle_degree2, m, value)
+    return seen
+
+
+def _evaluations(func, *args, image=circle_eval):
+    """func(*args), or the NoConvergenceError it raises, and its scalar circle_eval calls.
+
+    ``image`` stands in for circle_eval while func runs.
+    """
+    count = 0
+
+    def counting(m, theta):
+        nonlocal count
+        count += np.ndim(theta) == 0
+        return image(m, theta)
+
+    with mock.patch.object(circle, "circle_eval", counting), \
+            mock.patch.object(oracles, "circle_eval", counting):
+        try:
+            result = func(*args)
+        except NoConvergenceError:
+            result = NoConvergenceError
+    return result, count
+
+
+def _slope(m, theta):
+    return float(circle._wrap(circle_eval(m, theta + SLOPE_STEP)
+                              - circle_eval(m, theta - SLOPE_STEP))) / (2.0 * SLOPE_STEP)
+
+
+refined_maps = st.one_of(
+    st.sampled_from([CircleMap.fold(), CircleMap.flat_even(), CircleMap.flat_odd()]),
+    st.integers(-1024, 1024).filter(lambda k: k != 0).map(CircleMap.winding),
+    _quotient_powers(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(refined_maps, st.floats(0.0, TWO_PI, exclude_max=True), st.randoms(use_true_random=False))
+def test_refinement_agrees_with_bisection_in_at_most_twice_its_evaluations(m, value, rnd):
+    brackets = _brackets(m, value)
+    for target, lo, hi in rnd.sample(brackets, min(len(brackets), 8)):
+        old, old_calls = _evaluations(loop_bisect, m, target, lo, hi)
+        new, new_calls = _evaluations(circle._refine, m, target, lo, hi)
+        assert new_calls <= 2 * old_calls
+        if old is NoConvergenceError:
+            assert new is NoConvergenceError
+            continue
+        # both stop inside a bracket narrower than REFINE_TOL around a sign
+        # change of the wrapped difference; its last few ulps of rounding
+        # blur the root by their width over the slope
+        slope = abs(_slope(m, old))
+        blur = 4 * math.ulp(TWO_PI) / slope if slope else math.inf
+        gap = abs(new - old)
+        assert min(gap, TWO_PI - gap) <= 2 * REFINE_TOL + blur
+
+
+# at 1.0, 35 of the secant steps land where the difference rounds to exactly 0
+@pytest.mark.parametrize("value", [0.3, 1.0])
+def test_winding_roots_take_at_most_six_evaluations(value):
+    m = CircleMap.winding(1000)
+    result, calls = _evaluations(circle_degree2, m, value)
+    assert result.weighted_count == 1000
+    assert calls <= 6 * 1000
+    # once per bracket too, not only on average
+    per_root = [_evaluations(circle._refine, m, *b)[1] for b in _brackets(m, value)]
+    assert len(per_root) == 1000 and max(per_root) <= 6
+
+
+# Two brackets that are slow for variants of the method.  flat_even at
+# pi - 1e-4: a secant step lands within 3e-13 of the root, next to a bracket
+# end; taking the midpoint there instead of a closing probe bisects the rest
+# (about 45 evaluations with a probe after every step).  fold at 1e-9: the
+# root lies 3e-5 from the double root at 0, so secant steps start 6e-7 long
+# and grow only as the far end's value is halved; bisecting after every two
+# steps that fail to halve the bracket restarts that growth (28 evaluations).
+@pytest.mark.parametrize("m, value", [
+    (CircleMap.flat_even(), math.pi - 1e-4),
+    (CircleMap.fold(), 1e-9),
+])
+def test_slow_refinements_cost_no_more_than_bisection(m, value):
+    brackets = _brackets(m, value)
+    assert brackets
+    for target, lo, hi in brackets:
+        old, old_calls = _evaluations(loop_bisect, m, target, lo, hi)
+        new, new_calls = _evaluations(circle._refine, m, target, lo, hi)
+        assert new_calls <= old_calls
+        assert abs(new - old) <= 2 * REFINE_TOL + 4 * math.ulp(TWO_PI) / abs(_slope(m, old))
+
+
+# near a critical value the map barely turns, and the difference rounds to 0
+# over up to 1e-8 around the root; there the point bisection picks is kept
+@pytest.mark.parametrize("m, value", [
+    (CircleMap.fold(), 1e-9),
+    (CircleMap.fold(), math.pi - 1e-12),
+    (CircleMap.flat_even(), 1e-9),
+    (CircleMap.flat_odd(), math.pi - 1e-8),
+])
+def test_a_root_where_the_difference_rounds_to_zero_is_the_bisection_point(m, value):
+    brackets = _brackets(m, value)
+    assert brackets
+    for target, lo, hi in brackets:
+        assert circle._refine(m, target, lo, hi) == loop_bisect(m, target, lo, hi)
+
+
+def test_refinement_of_a_jump_is_refused():
+    # across theta = 0 the wrapped difference of winding(1) at pi jumps from
+    # pi - delta to -pi + delta: a sign change with no root inside
+    m, delta = CircleMap.winding(1), TWO_PI / GRID
+    assert circle._wrap(circle_eval(m, -delta) - math.pi) == pytest.approx(math.pi - delta)
+    assert circle._wrap(circle_eval(m, delta) - math.pi) == pytest.approx(-math.pi + delta)
+    with pytest.raises(NoConvergenceError):
+        circle._refine(m, math.pi, -delta, delta)
+    with pytest.raises(NoConvergenceError):
+        loop_bisect(m, math.pi, -delta, delta)
+
+
+def test_a_root_at_a_jump_costs_at_most_twice_bisection():
+    # left of the root the difference is -1e-6 * distance, right of it 1e-7:
+    # each secant step from the small side only doubles its length, and after
+    # crossing the root the next round starts again from the jump
+    lo, hi, target = 1.0, 1.0 + TWO_PI / GRID, 1.0
+    root = lo + 0.7 * (hi - lo)
+
+    def image(m, theta):
+        theta = np.asarray(theta, dtype=float)
+        return (target + np.where(theta > root, 1e-7, -1e-6 * (root - theta))) % TWO_PI
+
+    m = CircleMap.winding(1)
+    old, old_calls = _evaluations(loop_bisect, m, target, lo, hi, image=image)
+    new, new_calls = _evaluations(circle._refine, m, target, lo, hi, image=image)
+    assert new_calls <= 2 * old_calls
+    assert abs(new - root) < 1e-9 and abs(old - root) < 1e-9
+
+
+def test_a_wide_zero_stretch_under_a_steep_secant_is_found_by_the_probes():
+    # slope 1000 on both sides of a stretch 2e-11 wide where the difference is
+    # exactly 0: the secant slope calls the stretch narrow, the probes do not
+    lo, target, step = 1.0, 1.0, TWO_PI / GRID / 3
+    root, hi = lo + step, lo + 3 * step
+
+    def image(m, theta):
+        theta = np.asarray(theta, dtype=float)
+        off = theta - root
+        return (target + np.where(np.abs(off) <= 1e-11, 0.0, 1000.0 * off)) % TWO_PI
+
+    m = CircleMap.winding(1)
+    old, _ = _evaluations(loop_bisect, m, target, lo, hi, image=image)
+    new, _ = _evaluations(circle._refine, m, target, lo, hi, image=image)
+    assert abs(old - root) <= 1e-11 and new == old
