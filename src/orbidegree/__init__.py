@@ -20,6 +20,7 @@ from .circle import (
     CirclePreimage,
     CirclePreimageSet,
     circle_degree2,
+    circle_degrees,
     circle_eval,
     covering_degree,
 )

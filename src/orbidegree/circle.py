@@ -13,17 +13,25 @@ Degrees are computed numerically in one pass with fixed constants: the
 covering circle is sampled on a GRID-point grid, sign changes of the wrapped
 angular difference bracket the roots, each bracket is narrowed below
 REFINE_TOL, and the roots are folded into the quotient's fundamental domain
-and counted with integer weights |G_value| / |G_point|.  A bracket is
-narrowed by Illinois regula falsi: secant steps, with the value at an end
-that survived two steps in a row halved.  A secant point within REFINE_TOL/2
-of an end becomes a closing probe REFINE_TOL/2 inside it, so a step that
-lands that close to the root is followed by one that closes the bracket.
-Bisection takes over when the end values do not differ in sign and once a
-bracket has used as many secant steps as bisection would need.  Near a
-critical value, where the difference rounds to exactly 0 on a stretch around
-the root, the point of it that bisection picks is returned.  A winding root
-takes 5 evaluations of the map, a fold or flat root about 8; bisection alone
-took 33.
+and counted with integer weights |G_value| / |G_point|.  A value is solved
+as the targets over it on the codomain covering circle: one per element of
+a rotation group, psi and 2*pi - psi on the reflection, and psi alone at a
+reflection endpoint (isotropy 2).  circle_degrees takes many values of one
+map in that one pass: the grid is evaluated once, each grid step finds the
+targets on its short arc by a sorted search over the targets of all values,
+so a step costs O(log T) rather than O(T), and roots, orbits and weights are
+tallied over (value, root) rows; circle_degree2 is its one-value case.
+
+A bracket is narrowed by Illinois regula falsi: secant steps, with the value
+at an end that survived two steps in a row halved.  A secant point within
+REFINE_TOL/2 of an end becomes a closing probe REFINE_TOL/2 inside it, so a
+step that lands that close to the root is followed by one that closes the
+bracket.  Bisection takes over when the end values do not differ in sign and
+once a bracket has used as many secant steps as bisection would need.  Near
+a critical value, where the difference rounds to exactly 0 on a stretch
+around the root, the point of it that bisection picks is returned.  A
+winding root takes 5 evaluations of the map, a fold or flat root about 8;
+bisection alone took 33.
 
 A map whose turning rate the grid cannot resolve (4 * rate > GRID, i.e. a
 grid step may turn by more than pi/2) is refused with NoConvergenceError
@@ -57,6 +65,8 @@ DERIVATIVE_THRESHOLD = 1e-8  # a preimage with |derivative| at or below it is cr
 ANGLE_CLUSTER = 1e-8  # roots and folded angles closer than this coincide
 
 _KINDS = ("fold", "flat_even", "flat_odd", "power", "covering")
+_GRID_ANGLES = np.linspace(0.0, TWO_PI, GRID + 1)
+_GRID_ANGLES.flags.writeable = False
 
 
 def flat_bump(y):
@@ -241,56 +251,57 @@ def _checked_root(g, theta: float) -> float:
     return theta % TWO_PI
 
 
-def _upstairs_roots(m: CircleMap, targets) -> np.ndarray:
-    """Sorted, deduplicated angles theta in [0, 2*pi) with circle_eval(m, theta) in targets.
+def _targets(m: CircleMap, psi: float, isotropy: int) -> list[float]:
+    """The angles on the codomain covering circle over the quotient point of psi, sorted.
+
+    A reflection endpoint (isotropy 2, within ENDPOINT_TOL of 0 or pi) is
+    its own mirror image and is solved as the one target psi.
+    """
+    if m.codomain.is_reflection:
+        return [psi] if isotropy == 2 else sorted([psi, TWO_PI - psi])
+    period = m.codomain.period
+    return [(psi % period) + j * period for j in range(m.codomain.order)]
+
+
+def _crossings(image: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Target and step indices of the grid steps that start on a target, and of
+    the brackets: steps whose wrapped difference to a target changes sign.
+    Both come sorted by target, then step.
 
     A grid step turns the image by at most rate * 2*pi/GRID, which the
     refusal keeps at pi/2 or less: a step over a root then changes the
     wrapped difference by at most pi/2, a step across the wrap by at least
-    3*pi/2, and no step hides a whole turn.
+    3*pi/2, and no step hides a whole turn.  So a step can only start on or
+    cross the targets of its short arc, from image[i] to image[i+1] the short
+    way round.  Widened by ANGLE_CLUSTER against rounding, the arcs look up
+    their targets in the sorted targets, repeated one turn down and up: one
+    searchsorted call finds the first target of every arc, a second the end
+    of those arcs that hold one.  Only these (target, step) pairs get the
+    exact test: O(GRID log T + pairs) time and memory, never O(GRID * T).
     """
-    rate = abs(m.power) if m.kind in ("power", "covering") else BOUNDED_RATE  # |d image / d theta|
-    if 4 * rate > GRID:
-        raise NoConvergenceError(
-            f"{m.kind} map turns at rate {rate}; a {GRID}-point grid resolves rates "
-            f"up to {GRID // 4}"
-        )
-    grid = np.linspace(0.0, TWO_PI, GRID + 1)
-    values = circle_eval(m, grid)
-    values[-1] = values[0]  # 2*pi is 0 again; evaluated apart, they can round apart
-    roots: list[float] = []
-    for target in targets:
-        diff = _wrap(values - target)
-        roots += (grid[np.flatnonzero(diff[:-1] == 0.0)] % TWO_PI).tolist()
-        # sign flips across the wrap are not roots
-        brackets = np.flatnonzero((diff[:-1] * diff[1:] < 0) & (np.abs(np.diff(diff)) < math.pi))
-        roots += [_refine(m, target, grid[i], grid[i + 1]) for i in brackets.tolist()]
-    roots = np.sort(roots)
-    # a root repeats its predecessor, or the first root across the 2*pi wrap
-    keep = np.ones(len(roots), dtype=bool)
-    keep[1:] = np.diff(roots) >= ANGLE_CLUSTER
-    keep[1:] &= (TWO_PI - roots[1:]) + roots[:1] >= ANGLE_CLUSTER
-    return roots[keep]
-
-
-def _orbit_leaders(m: CircleMap, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle of each orbit of the roots, and the index of its smallest root.
-
-    Orbits come in increasing angle.  An orbit's derivative sign is read at
-    its smallest upstairs root, so the choice between the two
-    reflection-symmetric roots of one orbit never depends on rounding.  On a
-    rotation quotient a root that folds to just below the period is the orbit
-    of angle 0, and such an orbit is reported at its 0-side angle.
-    """
-    key = m.domain.fold(roots)
-    if not m.domain.is_reflection:
-        key[m.domain.period - key < ANGLE_CLUSTER] -= m.domain.period
-    order = np.argsort(key)
-    starts = np.flatnonzero(np.diff(key[order], prepend=-math.inf) >= ANGLE_CLUSTER)
-    leaders = np.minimum.reduceat(order, starts)
-    angles = np.maximum(key[leaders], 0.0)
-    by_angle = np.argsort(angles)
-    return angles[by_angle], leaders[by_angle]
+    low = np.minimum(image[:-1], image[1:])
+    high = np.maximum(image[:-1], image[1:])
+    across = (high - low > math.pi).nonzero()[0]  # steps across 0 = 2*pi: the arc wraps
+    low[across], high[across] = high[across], low[across] + TWO_PI
+    ring = targets.argsort(kind="stable")
+    ordered = targets[ring]
+    # one turn down, as given, one turn up, and an end past every arc
+    turns = np.concatenate([ordered - TWO_PI, ordered, ordered + TWO_PI, [math.inf]])
+    first = (turns + ANGLE_CLUSTER).searchsorted(low, side="left")  # first target past low
+    step = (turns[first] - ANGLE_CLUSTER <= high).nonzero()[0]  # steps with a target
+    first = first[step]
+    counts = (turns - ANGLE_CLUSTER).searchsorted(high[step], side="right") - first
+    # pair j of an arc is its target first + j
+    step = step.repeat(counts)
+    slot = np.arange(len(step)) + (first - counts.cumsum() + counts).repeat(counts)
+    target = ring[slot % len(targets)]
+    order = np.lexsort((step, target))
+    target, step = target[order], step[order]
+    diff, diff_next = _wrap(image[np.add.outer((0, 1), step)] - targets[target])
+    hit = diff == 0.0
+    # sign flips across the wrap are not roots
+    crossed = (diff * diff_next < 0) & (np.abs(diff_next - diff) < math.pi)
+    return target[hit], step[hit], target[crossed], step[crossed]
 
 
 @dataclass(frozen=True)
@@ -326,6 +337,123 @@ class CircleDegreeResult:
         }
 
 
+def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
+    """circle_degree2(m, value) for each of ``values``, from one evaluation of the grid.
+
+    The brackets of all values are found in one sparse search and refined
+    by the scalar _refine, the slopes of all roots come from one evaluation,
+    and roots, orbits and weights are tallied over (value, root) rows; each
+    result is the one a call for its value alone returns, bit for bit.  The
+    error raised is the one the first failing value raises in
+    ``[circle_degree2(m, v) for v in values]``.
+    """
+    if len(values) == 0:
+        return []
+    psis = [value % TWO_PI for value in values]
+    value_isotropy = m.codomain.isotropy_order(np.array(psis))
+    per_value = [_targets(m, psi, iso) for psi, iso in zip(psis, value_isotropy.tolist())]
+    targets = [t for ts in per_value for t in ts]
+    owner = np.array([v for v, ts in enumerate(per_value) for _ in ts])  # value of a target
+
+    rate = abs(m.power) if m.kind in ("power", "covering") else BOUNDED_RATE  # |d image / d theta|
+    if 4 * rate > GRID:
+        raise NoConvergenceError(
+            f"{m.kind} map turns at rate {rate}; a {GRID}-point grid resolves rates "
+            f"up to {GRID // 4}"
+        )
+    grid = _GRID_ANGLES
+    image = circle_eval(m, grid)
+    image[-1] = image[0]  # 2*pi is 0 again; evaluated apart, they can round apart
+    hit_target, hit_step, bracket_target, bracket_step = _crossings(image, np.array(targets))
+
+    refined: list[float] = []
+    failed, failure = len(psis), None  # the first value whose refinement raises, and its error
+    for t, i in zip(bracket_target.tolist(), bracket_step.tolist()):
+        try:
+            refined.append(_refine(m, targets[t], grid[i], grid[i + 1]))
+        except NoConvergenceError as exc:
+            failed, failure = int(owner[t]), exc
+            break
+    roots = np.concatenate([grid[hit_step] % TWO_PI, refined])
+    root_owner = owner[np.concatenate([hit_target, bracket_target[: len(refined)]])]
+    order = np.lexsort((roots, root_owner))
+    roots, root_owner = roots[order], root_owner[order]
+    # per value: a root that repeats its predecessor, or the value's first
+    # root across the 2*pi wrap, is dropped
+    first = root_owner.searchsorted(root_owner)  # row of each row's first root
+    keep = (TWO_PI - roots) + roots[first] >= ANGLE_CLUSTER
+    keep[1:] &= roots[1:] - roots[:-1] >= ANGLE_CLUSTER
+    keep[first] = True
+    roots, root_owner = roots[keep], root_owner[keep]
+
+    above, below = circle_eval(m, np.add.outer((SLOPE_STEP, -SLOPE_STEP), roots))
+    slopes = _wrap(above - below)
+    slopes /= 2.0 * SLOPE_STEP
+    critical = (np.abs(slopes) <= DERIVATIVE_THRESHOLD).nonzero()[0][::-1]
+    critical_of = dict(zip(root_owner[critical].tolist(), critical.tolist()))  # first per value
+
+    # orbits of each value in increasing angle, each read at its smallest
+    # upstairs root, so the choice between the two reflection-symmetric roots
+    # of one orbit never depends on rounding.  On a rotation quotient a root
+    # that folds to just below the period is the orbit of angle 0, reported
+    # at its 0-side angle.
+    key = m.domain.fold(roots)
+    if not m.domain.is_reflection:
+        key[m.domain.period - key < ANGLE_CLUSTER] -= m.domain.period
+    order = np.lexsort((key, root_owner))
+    sorted_key, sorted_owner = key[order], root_owner[order]
+    gaps = (sorted_key[1:] - sorted_key[:-1] >= ANGLE_CLUSTER) | (
+        sorted_owner[1:] != sorted_owner[:-1]
+    )
+    starts = np.concatenate(([0], gaps.nonzero()[0] + 1))  # first row of each orbit
+    leaders = np.minimum.reduceat(order, starts) if len(order) else order
+    angles = np.maximum(key[leaders], 0.0)
+    point_owner = root_owner[leaders]
+    isotropy = m.domain.isotropy_order(angles)
+
+    # sum of |G_value| / |G_point| over each value's points, over a common denominator
+    n = len(psis)
+    scale = np.ones(n, dtype=np.int64)
+    np.lcm.at(scale, point_owner, isotropy)
+    numerator = np.zeros(n, dtype=np.int64)
+    np.add.at(numerator, point_owner, value_isotropy[point_owner] * scale[point_owner] // isotropy)
+    total, remainder = np.divmod(numerator, scale)
+
+    bounds = point_owner.searchsorted(np.arange(n + 1)).tolist()
+    angles, signs = angles.tolist(), np.where(slopes[leaders] > 0, 1, -1).tolist()
+    isotropy, scale, numerator, total = (
+        isotropy.tolist(), scale.tolist(), numerator.tolist(), total.tolist()
+    )
+    domain_note = (
+        "[0, pi], endpoints carry isotropy 2"
+        if m.domain.is_reflection
+        else f"[0, 2*pi/{m.domain.order})"
+    )
+    results = []
+    for v in range(failed):
+        if v in critical_of:
+            i = critical_of[v]
+            raise CriticalValueError(
+                f"preimage at theta={roots[i]:.6f} has derivative {slopes[i]:.3g}"
+            )
+        if remainder[v]:
+            raise NonIntegralWeightError(
+                f"weighted count {numerator[v]}/{scale[v]} is not an integer"
+            )
+        points = tuple(
+            CirclePreimage(angles[j], signs[j], isotropy[j])
+            for j in range(bounds[v], bounds[v + 1])
+        )
+        results.append(CircleDegreeResult(
+            weighted_count=total[v],
+            mod2=total[v] % 2,
+            preimages=CirclePreimageSet(points, domain_note),
+        ))
+    if failure is not None:
+        raise failure
+    return results
+
+
 def circle_degree2(m: CircleMap, value: float) -> CircleDegreeResult:
     """Weighted preimage count and mod-2 degree of the quotient map at ``value``.
 
@@ -334,44 +462,7 @@ def circle_degree2(m: CircleMap, value: float) -> CircleDegreeResult:
     critical; a map that turns too fast for the grid raises
     NoConvergenceError rather than returning a smaller count.
     """
-    psi = value % TWO_PI
-    if m.codomain.is_reflection:
-        targets = sorted({psi, (TWO_PI - psi) % TWO_PI})
-    else:
-        period = m.codomain.period
-        targets = [(psi % period) + j * period for j in range(m.codomain.order)]
-
-    roots = _upstairs_roots(m, targets)
-    slopes = _wrap(circle_eval(m, roots + SLOPE_STEP) - circle_eval(m, roots - SLOPE_STEP))
-    slopes /= 2.0 * SLOPE_STEP
-    critical = np.flatnonzero(np.abs(slopes) <= DERIVATIVE_THRESHOLD)
-    if len(critical):
-        i = critical[0]
-        raise CriticalValueError(f"preimage at theta={roots[i]:.6f} has derivative {slopes[i]:.3g}")
-
-    angles, leaders = _orbit_leaders(m, roots)
-    points = tuple(
-        CirclePreimage(angle, 1 if slope > 0 else -1, m.domain.isotropy_order(angle))
-        for angle, slope in zip(angles.tolist(), slopes[leaders].tolist())
-    )
-    # sum of |G_value| / |G_point| over the points, over a common denominator
-    value_isotropy = m.codomain.isotropy_order(psi)
-    scale = math.lcm(*(p.isotropy_order for p in points))
-    numerator = sum(value_isotropy * scale // p.isotropy_order for p in points)
-    total, rem = divmod(numerator, scale)
-    if rem:
-        raise NonIntegralWeightError(f"weighted count {numerator}/{scale} is not an integer")
-
-    domain_note = (
-        "[0, pi], endpoints carry isotropy 2"
-        if m.domain.is_reflection
-        else f"[0, 2*pi/{m.domain.order})"
-    )
-    return CircleDegreeResult(
-        weighted_count=total,
-        mod2=total % 2,
-        preimages=CirclePreimageSet(points, domain_note),
-    )
+    return circle_degrees(m, [value])[0]
 
 
 def covering_degree(

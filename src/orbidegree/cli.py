@@ -119,10 +119,11 @@ def _dumps_with_preimages(payload: dict, columns: PreimageColumns) -> str:
     The records are written straight from the columns, column by column: the
     first record is dumped in place with a slot for each of its k per-point
     integers, and the text between the slots gives k + 1 constant pieces.
-    The output is one list of n * (2k + 1) strings for n points; each piece
-    fills its stride by one slice assignment, and each integer column fills
-    its stride with decimal strings made once per distinct value
-    (np.unique), so int64 and object columns take the same path.
+    The output is one list of n * (2k + 1) strings for n points, between the
+    text before and after the records, joined once; each piece fills its
+    stride by one slice assignment, and each integer column fills its stride
+    with decimal strings made once per distinct value (np.unique), so int64
+    and object columns take the same path.
     """
     first = [v for pair in zip(columns.num[0].tolist(), columns.den[0].tolist()) for v in pair]
     record = columns.record(first).to_json()
@@ -136,16 +137,17 @@ def _dumps_with_preimages(payload: dict, columns: PreimageColumns) -> str:
     pieces = text[start:end].split(json.dumps(_SLOT))
     pieces[-1] += ",\n"
     n, stride = len(columns), 2 * len(pieces) - 1
-    out = [""] * (n * stride)
+    out = [""] * (n * stride + 2)
+    out[0], out[-1] = text[:start], text[end:]
     for k, piece in enumerate(pieces):
-        out[2 * k :: stride] = [piece] * n
+        out[1 + 2 * k : -1 : stride] = [piece] * n
     for k in range(len(pieces) - 1):
         column = (columns.num if k % 2 == 0 else columns.den)[:, k // 2]
         distinct, index = np.unique(column, return_inverse=True)
         decimal = np.array([str(v) for v in distinct.tolist()], dtype=object)
-        out[2 * k + 1 :: stride] = decimal[index].tolist()
-    out[-1] = pieces[-1][: -len(",\n")]
-    return text[:start] + "".join(out) + text[end:]
+        out[2 + 2 * k : -1 : stride] = decimal[index].tolist()
+    out[-2] = pieces[-1][: -len(",\n")]
+    return "".join(out)
 
 
 def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:

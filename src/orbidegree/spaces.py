@@ -277,13 +277,18 @@ class CircleQuotient:
             return np.minimum(theta, two_pi - theta)
         return np.remainder(theta, self.period)
 
-    def isotropy_order(self, theta: float) -> int:
-        """2 within ENDPOINT_TOL of the reflection's fixed points 0 and pi, else 1."""
+    def isotropy_order(self, theta):
+        """2 within ENDPOINT_TOL of the reflection's fixed points 0 and pi, else 1.
+
+        An int for a scalar angle; elementwise on arrays.
+        """
         if self.is_reflection:
             folded = self.fold(theta)
-            if folded < ENDPOINT_TOL or abs(folded - math.pi) < ENDPOINT_TOL:
-                return 2
-        return 1
+            endpoint = (folded < ENDPOINT_TOL) | (np.abs(folded - math.pi) < ENDPOINT_TOL)
+            orders = np.where(endpoint, 2, 1)
+        else:
+            orders = np.ones(np.shape(theta), dtype=int)
+        return orders if orders.ndim else int(orders)
 
     def to_json(self) -> dict:
         return {"kind": self.group, "order": self.order}

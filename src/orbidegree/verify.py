@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleMap, circle_degree2, circle_eval, covering_degree
+from .circle import CircleMap, circle_degree2, circle_degrees, circle_eval, covering_degree
 from .degree import (
     DEFAULT_ENUMERATION_CAP,
     degree,
@@ -173,8 +173,7 @@ def check_value_independence(
             "value-independence",
             "with a codimension-1 singular stratum the mod-2 degree depends on the value",
         )
-        top = circle_degree2(f, math.pi / 2)
-        bottom = circle_degree2(f, 3 * math.pi / 2)
+        top, bottom = circle_degrees(f, [math.pi / 2, 3 * math.pi / 2])
         report.record(
             top.mod2 != bottom.mod2,
             {
@@ -239,12 +238,11 @@ def check_same_underlying(fa, fb, samples: int = 50, margin: float = 0.1) -> Pro
     fold = fa.domain.fold
     gap = float(np.max(np.abs(fold(circle_eval(fa, thetas)) - fold(circle_eval(fb, thetas)))))
     report.record(gap < 1e-12, {"pointwise_gap": gap})
-    for value in np.linspace(margin, math.pi - margin, samples):
-        ra = circle_degree2(fa, float(value))
-        rb = circle_degree2(fb, float(value))
+    values = np.linspace(margin, math.pi - margin, samples).tolist()
+    for value, ra, rb in zip(values, circle_degrees(fa, values), circle_degrees(fb, values)):
         report.record(
             ra.mod2 == rb.mod2 and ra.weighted_count == rb.weighted_count,
-            {"value": float(value), "mod2": [ra.mod2, rb.mod2],
+            {"value": value, "mod2": [ra.mod2, rb.mod2],
              "counts": [ra.weighted_count, rb.weighted_count]},
         )
     return report

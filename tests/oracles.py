@@ -11,8 +11,10 @@ its single vectorized pass: a Python loop over every grid step, bisection
 plus Newton polish per bracket, a per-root derivative, and orbit grouping by
 a scan over the groups found so far, tallied with Fraction.  It costs a few
 milliseconds per target, so tests use it only on maps the grid resolves.
-``scalar_fold`` is the Python-float fold of ``CircleQuotient`` before it took
-arrays.  ``loop_bisect`` is the root refinement of the one pass before its
+``dense_brackets`` is the bracket search of the one pass before it took many
+values: every target tested against the whole grid image, O(GRID) per
+target.  ``scalar_fold`` is the Python-float fold of ``CircleQuotient``
+before it took arrays.  ``loop_bisect`` is the root refinement of the one pass before its
 Illinois steps: plain bisection of a grid bracket down to REFINE_TOL, about
 33 evaluations per root.
 
@@ -157,6 +159,19 @@ def loop_bisect(m, target, lo, hi):
     return theta % TWO_PI
 
 
+def dense_brackets(image, targets):
+    """(target, step) index pairs of the exact grid hits and of the brackets in a
+    grid image, found by testing the whole grid once per target."""
+    hits, brackets = [], []
+    for t, target in enumerate(targets):
+        diff = _wrap(image - target)
+        hits += [(t, i) for i in np.flatnonzero(diff[:-1] == 0.0).tolist()]
+        # sign flips across the wrap are not roots
+        found = np.flatnonzero((diff[:-1] * diff[1:] < 0) & (np.abs(np.diff(diff)) < math.pi))
+        brackets += [(t, i) for i in found.tolist()]
+    return hits, brackets
+
+
 def _scalar_upstairs_roots(m, targets, seeds=4096, tol=1e-12, cluster=1e-8):
     grid = np.linspace(0.0, TWO_PI, seeds + 1)
     values = circle_eval(m, grid)
@@ -186,7 +201,9 @@ def _scalar_upstairs_roots(m, targets, seeds=4096, tol=1e-12, cluster=1e-8):
 def scalar_circle_degree2(m, value, threshold=1e-8, cluster=1e-8):
     """(weighted count, mod2, [(angle, derivative sign, isotropy)]) of m at value."""
     psi = value % TWO_PI
-    if m.codomain.is_reflection:
+    if m.codomain.is_reflection and m.codomain.isotropy_order(psi) == 2:
+        targets = [psi]  # an endpoint is its own mirror image
+    elif m.codomain.is_reflection:
         targets = sorted({psi, (TWO_PI - psi) % TWO_PI})
     else:
         period = m.codomain.period

@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import loop_bisect, scalar_circle_degree2
+from oracles import dense_brackets, loop_bisect, scalar_circle_degree2
 from orbidegree import circle
 from orbidegree.circle import (
     ANGLE_CLUSTER,
@@ -19,11 +21,17 @@ from orbidegree.circle import (
     TWO_PI,
     CircleMap,
     circle_degree2,
+    circle_degrees,
     circle_eval,
     covering_degree,
     flat_bump,
 )
-from orbidegree.errors import CriticalValueError, NoConvergenceError, NoHomomorphismError
+from orbidegree.errors import (
+    CriticalValueError,
+    NoConvergenceError,
+    NoHomomorphismError,
+    OrbidegreeError,
+)
 
 
 def test_circle_eval_fold_by_substitution():
@@ -410,3 +418,219 @@ def test_a_wide_zero_stretch_under_a_steep_secant_is_found_by_the_probes():
     old, _ = _evaluations(loop_bisect, m, target, lo, hi, image=image)
     new, _ = _evaluations(circle._refine, m, target, lo, hi, image=image)
     assert abs(old - root) <= 1e-11 and new == old
+
+
+def _covering_degree_case(k, power, b):
+    """The map and value covering_degree(k, power, b) solves."""
+    m = CircleMap.quotient_power(power, k, b)
+    return m, 0.375 * m.codomain.period
+
+
+# SHA-256 of repr([count, mod2, angle, sign, isotropy, angle, ...]) of each
+# single-value result, recorded before circle_degree2 became one value of
+# circle_degrees; the grid search, the bookkeeping over (value, root) rows and
+# the slope evaluation must leave every bit of these results as it was
+PINNED_RESULTS = {
+    "fold top": (CircleMap.fold(), math.pi / 2 + 0.3,
+                 "7b8195cf1610c46f009c120046de01f4765693e4f3d92a4e2f190f11a338b6fa"),
+    "fold bottom": (CircleMap.fold(), 3 * math.pi / 2 - 0.4,
+                    "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1"),
+    **{
+        f"{m.kind} at {value}": (m, value, digest)
+        for value, digest in [
+            (0.7, "dcbdadb551be6bd9044ab6a2e7c5cb8308f39975151008e6000ffadf3afd68b5"),
+            (1.9, "692b34b711f8ff2b4abaadf70db7aa65633bc543adebda9288c797b987ed48c9"),
+            (2.6, "dee56770e9efe90ce2494ce0941d2305f7ff02025a5d775bd2565879268b81d1"),
+        ]
+        for m in (CircleMap.flat_even(), CircleMap.flat_odd())
+    },
+    "winding(7)": (CircleMap.winding(7), 0.4,
+                   "3af98ef4bd9c6497cd1b3977f3b1fdfb342df17ad1c60951a1ad32078f158183"),
+    "winding(50)": (CircleMap.winding(50), 2.2,
+                    "cc5f69081fb282d471250c99a16d1cf3053d8d82617726df9430c4b89caa682f"),
+    "winding(300)": (CircleMap.winding(300), 4.1,
+                     "b87cc0f24adb8893724f3839a1bb1bcf6b0dea760e875d1a3000fe8fe4ed1a9e"),
+    "winding(1000)": (CircleMap.winding(1000), 5.9,
+                      "015b4c27d12474abb0af1555321ed71f9231cc248996e2396ba417584682c725"),
+    **{
+        f"covering_projection({k})": (
+            CircleMap.covering_projection(k), 0.3 * 2 * math.pi / k, digest
+        )
+        for k, digest in [
+            (2, "ddb4fc9eb9a7f73c0c875e87294f3ae8137fd9468be92b661f4018d1cdf706d4"),
+            (3, "6b30207a0ce501011e361d11dde89fe6bf1727c311dae7d02a7b5541c82c2d28"),
+            (4, "d26ddd4ca9a2e07e13f97fc0501f6ade66de96b70356ae53f8ad95f2bd83dec7"),
+            (5, "8b578bf3a2f88affcb4378b16772c163b04ca7bf29a006af5fddad06a87c9690"),
+            (6, "d0244b280f5080c62fa1ca7992c8030ac81970a53e40c4c6bba5356ff7b50793"),
+        ]
+    },
+    **{
+        f"covering_degree{case}": (*_covering_degree_case(*case), digest)
+        for case, digest in [
+            ((2, 2, 1), "63e61ca2aff7481b2884b8a02c22f85acc9df9efa4f2a6cb68f75b5b2e0690b8"),
+            ((2, 4, 1), "20ba13d30166723b44306271102f53e239c9c476ef1c250c6a61e76feae3abc0"),
+            ((3, 6, 2), "d4ecf5e3948e1e8b95cb17b4f96a7082870ee2c227205507d646c09aa837dcba"),
+            ((4, 8, 2), "7318ddff8fc36970d101cd1f3974e260e143519d0ba036b4ddb6140d77a7a90e"),
+            ((6, 6, 1), "b4d43752dbb8f787dfd078c0242a5dba059381bf9eb98850d138299bda1e528d"),
+        ]
+    },
+}
+
+
+def _fingerprint(result):
+    fields = [result.weighted_count, result.mod2]
+    for p in result.preimages.points:
+        fields += [p.angle, p.derivative_sign, p.isotropy_order]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
+def test_single_value_results_are_pinned_bit_for_bit(name):
+    m, value, digest = PINNED_RESULTS[name]
+    assert _fingerprint(circle_degree2(m, value)) == digest
+
+
+def test_covering_degrees_of_the_pinned_cases():
+    cases = [(2, 2, 1), (2, 4, 1), (3, 6, 2), (4, 8, 2), (6, 6, 1)]
+    assert [covering_degree(*case) for case in cases] == [1, 2, 4, 4, 1]
+
+
+def _grid_targets(m):
+    """Draws targets: uniform angles, 0, pi, the seam neighbours and values of
+    the grid image itself, where a grid step starts exactly on its target."""
+    image = circle_eval(m, np.linspace(0.0, TWO_PI, GRID + 1))
+    return st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.sampled_from([0.0, math.pi, 1e-15, TWO_PI - 1e-15]),
+        st.integers(0, GRID).map(lambda i: float(image[i])),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(circle_maps, st.data())
+@example(CircleMap.winding(-1024), None)
+def test_sparse_search_finds_the_dense_search_hits_and_brackets(m, data):
+    targets = [0.0, math.pi, 1e-15, TWO_PI - 1e-15] if data is None else data.draw(
+        st.lists(_grid_targets(m), min_size=1, max_size=40)
+    )
+    image = circle_eval(m, np.linspace(0.0, TWO_PI, GRID + 1))
+    image[-1] = image[0]
+    hit_target, hit_step, bracket_target, bracket_step = circle._crossings(
+        image, np.array(targets)
+    )
+    hits, brackets = dense_brackets(image, targets)
+    assert sorted(zip(hit_target.tolist(), hit_step.tolist())) == sorted(hits)
+    # brackets in the order they are refined: by target, then step
+    assert list(zip(bracket_target.tolist(), bracket_step.tolist())) == sorted(brackets)
+
+
+def _loop_outcome(m, values):
+    """[circle_degree2(m, v) for v in values], or the type and message of what it raises."""
+    try:
+        return [circle_degree2(m, value) for value in values]
+    except OrbidegreeError as exc:
+        return type(exc), str(exc)
+
+
+def _batch_outcome(m, values):
+    try:
+        return circle_degrees(m, values)
+    except OrbidegreeError as exc:
+        return type(exc), str(exc)
+
+
+def _fields(outcome):
+    if isinstance(outcome, tuple):
+        return outcome
+    return [(r.weighted_count, r.mod2, r.preimages.fundamental_domain,
+             [(p.angle, p.derivative_sign, p.isotropy_order) for p in r.preimages.points])
+            for r in outcome]
+
+
+@settings(max_examples=40, deadline=None)
+@given(circle_maps, st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=6))
+@example(CircleMap.flat_even(), np.linspace(0.1, math.pi - 0.1, 50).tolist())
+@example(CircleMap.fold(), [1.0, 0.0, 2.0])
+@example(CircleMap.winding(7), [0.4, 0.4, 6.2831853071795845, 0.0])
+@example(CircleMap.winding(2), [0.0, TWO_PI - 2e-9])  # roots on either side of the seam
+def test_circle_degrees_equals_a_loop_of_circle_degree2(m, values):
+    # tuples compare angles with ==, so every angle must be equal bit for bit
+    assert _fields(_batch_outcome(m, values)) == _fields(_loop_outcome(m, values))
+
+
+def test_circle_degrees_raises_what_the_first_failing_value_raises():
+    fold = CircleMap.fold()
+    values = [math.pi / 2, 0.0, 3 * math.pi / 2]  # fold is critical at 0
+    with pytest.raises(CriticalValueError) as batch:
+        circle_degrees(fold, values)
+    with pytest.raises(CriticalValueError) as loop:
+        [circle_degree2(fold, value) for value in values]
+    assert str(batch.value) == str(loop.value)
+    with pytest.raises(NoConvergenceError) as refused:
+        circle_degrees(CircleMap.winding(2000), values)
+    assert "rate 2000" in str(refused.value)
+
+
+def test_circle_degrees_of_no_values_is_empty():
+    assert circle_degrees(CircleMap.fold(), []) == []
+    assert circle_degrees(CircleMap.winding(2000), []) == []  # as the loop: nothing to refuse
+
+
+@pytest.mark.parametrize("failing, critical", [(1, None), (2, 1), (1, 2)])
+def test_a_refinement_failure_is_raised_in_value_order(failing, critical):
+    # the refinement of every target of value `failing` raises; value `critical`
+    # is the fold's critical value 0
+    fold = CircleMap.fold()
+    values = [0.5, 1.0, 2.0, 2.5]
+    if critical is not None:
+        values[critical] = 0.0
+    refine = circle._refine
+
+    def failing_refine(m, target, lo, hi):
+        if target == values[failing]:
+            raise NoConvergenceError(f"stalled at {target}")
+        return refine(m, target, lo, hi)
+
+    with mock.patch.object(circle, "_refine", failing_refine):
+        expected = _loop_outcome(fold, values)
+        assert _batch_outcome(fold, values) == expected
+    assert expected[0] is (NoConvergenceError if critical in (None, 2) else CriticalValueError)
+
+
+def _grid_evaluations(func, *args):
+    """func(*args) and the number of circle_eval calls it makes on the whole grid."""
+    calls = 0
+
+    def counting(m, theta):
+        nonlocal calls
+        calls += np.size(theta) == GRID + 1
+        return circle_eval(m, theta)
+
+    with mock.patch.object(circle, "circle_eval", counting):
+        result = func(*args)
+    return result, calls
+
+
+@pytest.mark.parametrize("count", [1, 2, 50])
+def test_the_grid_is_evaluated_once_per_call(count):
+    values = np.linspace(0.1, math.pi - 0.1, count).tolist()
+    for m in (CircleMap.flat_odd(), CircleMap.winding(7), CircleMap.covering_projection(3)):
+        results, calls = _grid_evaluations(circle_degrees, m, values)
+        assert len(results) == count and calls == 1
+
+
+# within ENDPOINT_TOL of 0 a value is the reflection's endpoint; flat_odd used
+# to solve it as the two targets psi and 2*pi - psi, whose roots, blurred by
+# rounding where the map barely turns, folded to two points: 53 of these 400
+# values gave flat_even 2 and flat_odd 4
+def test_flat_maps_agree_at_values_that_count_as_the_endpoint():
+    outcomes = []
+    for value in np.geomspace(1e-11, 1e-8, 400).tolist():
+        pair = []
+        for m in (CircleMap.flat_even(), CircleMap.flat_odd()):
+            try:
+                pair.append(circle_degree2(m, value).weighted_count)
+            except CriticalValueError:
+                pair.append("critical")
+        outcomes.append(tuple(pair))
+    assert Counter(outcomes) == {(2, 2): 313, (1, 1): 1, ("critical", "critical"): 86}

@@ -3,6 +3,7 @@ import importlib
 import io
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,39 @@ def test_denominators_past_int64_do_not_wrap():
         for digits in itertools.product(range(6), repeat=3)
     }
     assert len(set(printed)) == len(printed) and set(printed) == expected
+
+
+class _LengthOnly:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_preimage_json_is_held_once():
+    # 10100 points at a support-{1,2} value, 3.9 MB of JSON: the writer must
+    # not hold a second copy of it while joining
+    argv = ["preimages", "--q", "1,1,1", "--r", "1,100,101", "--e", "1,100,101",
+            "--value", "0,1/3,2/7"]
+    with contextlib.redirect_stdout(_LengthOnly()):
+        main(argv)  # warm caches, so only the command's own memory is traced
+    out = _LengthOnly()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.length > 3_000_000
+    assert peak < 2 * out.length
 
 
 def test_preimages_text_format(capsys):

@@ -10,6 +10,7 @@ from oracles import coordinate_turns, loop_canonical_turns, scalar_fold
 from orbidegree.errors import NotEffectiveError
 from orbidegree.roots import ExactCoordinate, RootOfUnity
 from orbidegree.spaces import (
+    ENDPOINT_TOL,
     CircleQuotient,
     WpsOrbifold,
     WpsPoint,
@@ -237,6 +238,27 @@ def test_array_fold_equals_the_scalar_fold_bit_for_bit(quotient, thetas):
     expected = np.array([scalar_fold(quotient, t) for t in thetas])
     assert quotient.fold(np.array(thetas)).tobytes() == expected.tobytes()
     assert np.array([quotient.fold(t) for t in thetas]).tobytes() == expected.tobytes()
+
+
+endpoint_angles = st.one_of(
+    angles,
+    st.builds(lambda base, off: base + off, st.sampled_from([0.0, math.pi, 2 * math.pi]),
+              st.floats(-2e-8, 2e-8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients, st.lists(endpoint_angles, max_size=20))
+def test_array_isotropy_equals_the_scalar_isotropy(quotient, thetas):
+    folded = [scalar_fold(quotient, t) for t in thetas]
+    expected = [
+        2 if quotient.is_reflection and (f < ENDPOINT_TOL or abs(f - math.pi) < ENDPOINT_TOL)
+        else 1
+        for f in folded
+    ]
+    scalar = [quotient.isotropy_order(t) for t in thetas]
+    assert scalar == expected and all(type(order) is int for order in scalar)
+    assert quotient.isotropy_order(np.array(thetas)).tolist() == expected
 
 
 def test_point_json_round_trip():
