@@ -9,6 +9,12 @@ The two flat maps replace y^2 by e^{-1/y^2} (even) and sign(y) e^{-1/y^2}
 (odd): equal underlying maps on the quotient, different isotropy
 homomorphisms, equal degrees.
 
+circle_eval evaluates each kind by its own formula: a power map is
+power*theta mod 2*pi and computes no trigonometry, the fold and flat maps take
+the angle of (cos theta, f(sin theta)).  The flat bump clamps y*y below at
+1e-300 instead of masking small y, which gives the same bits, NaN included,
+without a floating-point warning.
+
 Degrees are computed numerically in one pass with fixed constants: the
 covering circle is sampled on a GRID-point grid, sign changes of the wrapped
 angular difference bracket the roots, each bracket is narrowed below
@@ -70,13 +76,12 @@ _GRID_ANGLES.flags.writeable = False
 
 
 def flat_bump(y):
-    """e^{-1/y^2} continued by 0 at y = 0, in a form immune to overflow warnings."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    mask = np.abs(y) > 1e-150  # below this y*y underflows; the true value is 0 anyway
-    yy = y[mask]
-    out[mask] = np.exp(-1.0 / (yy * yy))
-    return out
+    """e^{-1/y^2} continued by 0 at y = 0 (and at NaN), without a floating-point warning.
+
+    Clamping y*y at 1e-300 keeps the division finite; e^{-1/y^2} underflows
+    to 0 long before y*y gets that small, and fmax maps NaN to the clamp.
+    """
+    return np.exp(-1.0 / np.fmax(y * y, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -150,22 +155,21 @@ def circle_eval(m: CircleMap, theta):
     vectorized over array input.
     """
     theta = np.asarray(theta, dtype=float)
-    x = np.cos(theta)
+    if m.kind in ("power", "covering"):
+        return (m.power * theta) % TWO_PI
     y = np.sin(theta)
     if m.kind == "fold":
         second = y * y
     elif m.kind == "flat_even":
         second = flat_bump(y)
-    elif m.kind == "flat_odd":
-        second = np.sign(y) * flat_bump(y)
     else:
-        return (m.power * theta) % TWO_PI
-    return np.arctan2(second, x) % TWO_PI
+        second = np.sign(y) * flat_bump(y)
+    return np.arctan2(second, np.cos(theta)) % TWO_PI
 
 
 def _wrap(delta):
     """Wrap angular differences to (-pi, pi]."""
-    return (np.asarray(delta) + math.pi) % TWO_PI - math.pi
+    return (delta + math.pi) % TWO_PI - math.pi
 
 
 def _refine(m: CircleMap, target: float, lo: float, hi: float) -> float:
@@ -288,9 +292,10 @@ def _crossings(image: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]
     # one turn down, as given, one turn up, and an end past every arc
     turns = np.concatenate([ordered - TWO_PI, ordered, ordered + TWO_PI, [math.inf]])
     first = (turns + ANGLE_CLUSTER).searchsorted(low, side="left")  # first target past low
-    step = (turns[first] - ANGLE_CLUSTER <= high).nonzero()[0]  # steps with a target
+    turns -= ANGLE_CLUSTER  # now the low end of each target's widened span
+    step = (turns[first] <= high).nonzero()[0]  # steps with a target
     first = first[step]
-    counts = (turns - ANGLE_CLUSTER).searchsorted(high[step], side="right") - first
+    counts = turns.searchsorted(high[step], side="right") - first
     # pair j of an arc is its target first + j
     step = step.repeat(counts)
     slot = np.arange(len(step)) + (first - counts.cumsum() + counts).repeat(counts)
@@ -345,8 +350,12 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     and roots, orbits and weights are tallied over (value, root) rows; each
     result is the one a call for its value alone returns, bit for bit.  The
     error raised is the one the first failing value raises in
-    ``[circle_degree2(m, v) for v in values]``.
+    ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
+    no angle; it is refused with PreconditionViolatedError before any work.
     """
+    for value in values:
+        if not math.isfinite(value):
+            raise PreconditionViolatedError(f"circle value {float(value)} is not finite")
     if len(values) == 0:
         return []
     psis = [value % TWO_PI for value in values]
@@ -374,7 +383,7 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
         except NoConvergenceError as exc:
             failed, failure = int(owner[t]), exc
             break
-    roots = np.concatenate([grid[hit_step] % TWO_PI, refined])
+    roots = np.concatenate([grid[hit_step], refined])  # grid steps start below 2*pi
     root_owner = owner[np.concatenate([hit_target, bracket_target[: len(refined)]])]
     order = np.lexsort((roots, root_owner))
     roots, root_owner = roots[order], root_owner[order]

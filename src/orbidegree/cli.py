@@ -87,7 +87,11 @@ def load_config(args: argparse.Namespace) -> CliConfig:
     if getattr(args, "config", None):
         _read_config_file(args.config, config)
     if CAP_ENV_VAR in os.environ:
-        config.cap = int(os.environ[CAP_ENV_VAR])
+        text = os.environ[CAP_ENV_VAR]
+        try:
+            config.cap = int(text)
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
     for flag in ("format", "cap", "seed"):
         value = getattr(args, flag, None)
         if value is not None:

@@ -163,6 +163,8 @@ class ExactCoordinate:
                 raise ValueError(
                     f"coordinate must be '0' or 'a/m' with integers a and m, got {text!r}"
                 ) from exc
+            if m < 1:
+                raise ValueError(f"coordinate 'a/m' needs an order m >= 1, got {text!r}")
             return cls.unit(a, m)
         raise ValueError(f"coordinate must be '0' or 'a/m', got {text!r}")
 

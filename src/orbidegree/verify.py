@@ -10,6 +10,7 @@ missing.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -263,9 +264,10 @@ def check_covering(max_order: int = 6) -> PropertyReport:
         (1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 4, 1), (2, 4, 2),
         (3, 6, 1), (3, 6, 2), (3, 3, 1), (4, 8, 2), (6, 6, 1),
     ]
+    solved = functools.cache(covering_degree)  # each map once: powers repeat, (1,m,1) is upstairs
     for k, m, b in grid:
-        induced = covering_degree(k, m, b)
-        upstairs = covering_degree(1, m, 1)  # plain winding count, measured numerically
+        induced = solved(k, m, b)
+        upstairs = solved(1, m, 1)  # plain winding count, measured numerically
         report.record(
             induced * k == upstairs * b,
             {"case": [k, m, b], "induced": induced, "upstairs": upstairs},

@@ -18,6 +18,11 @@ before it took arrays.  ``loop_bisect`` is the root refinement of the one pass b
 Illinois steps: plain bisection of a grid bracket down to REFINE_TOL, about
 33 evaluations per root.
 
+``trig_circle_eval`` and ``masked_flat_bump`` are the map evaluation before
+it branched on the kind: cos and sin of every angle, also for power maps that
+discard them, and the bump e^{-1/y^2} computed under a mask and scattered
+into zeros.
+
 ``loop_slice_lift`` is the scalar Newton iteration the slice engine used
 before its array kernel: one point, a residual-and-slope closure, Python
 floats.  ``loop_numeric_jacobian`` is the Jacobian loop of that time, one
@@ -157,6 +162,36 @@ def loop_bisect(m, target, lo, hi):
     if abs(g(theta)) > RESIDUAL_TOL:
         raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
     return theta % TWO_PI
+
+
+def masked_flat_bump(y):
+    """e^{-1/y^2} continued by 0 at y = 0, in a form immune to overflow warnings."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    mask = np.abs(y) > 1e-150  # below this y*y underflows; the true value is 0 anyway
+    yy = y[mask]
+    out[mask] = np.exp(-1.0 / (yy * yy))
+    return out
+
+
+def trig_circle_eval(m, theta):
+    """Angle of the image point on the codomain covering circle, in [0, 2*pi).
+
+    The image is renormalized to the unit circle, which its angle encodes;
+    vectorized over array input.
+    """
+    theta = np.asarray(theta, dtype=float)
+    x = np.cos(theta)
+    y = np.sin(theta)
+    if m.kind == "fold":
+        second = y * y
+    elif m.kind == "flat_even":
+        second = masked_flat_bump(y)
+    elif m.kind == "flat_odd":
+        second = np.sign(y) * masked_flat_bump(y)
+    else:
+        return (m.power * theta) % TWO_PI
+    return np.arctan2(second, x) % TWO_PI
 
 
 def dense_brackets(image, targets):

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -31,6 +32,7 @@ from orbidegree.errors import (
     NoConvergenceError,
     NoHomomorphismError,
     OrbidegreeError,
+    PreconditionViolatedError,
 )
 
 
@@ -51,7 +53,7 @@ def test_circle_eval_vectorized_matches_scalar():
               CircleMap.winding(3)):
         batch = circle_eval(m, thetas)
         singles = [float(circle_eval(m, t)) for t in thetas]
-        assert np.allclose(batch, singles)
+        assert batch.tolist() == singles
 
 
 def test_flat_bump_stable_at_zero():
@@ -634,3 +636,62 @@ def test_flat_maps_agree_at_values_that_count_as_the_endpoint():
                 pair.append("critical")
         outcomes.append(tuple(pair))
     assert Counter(outcomes) == {(2, 2): 313, (1, 1): 1, ("critical", "critical"): 86}
+
+
+def _near(points):
+    """Each of ``points``, its negative and their floating-point neighbours."""
+    return st.sampled_from(points).flatmap(lambda p: st.sampled_from([
+        p, -p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf),
+        math.nextafter(-p, -math.inf), math.nextafter(-p, math.inf),
+    ]))
+
+
+# the grid's seam and quarter points, where a wrapped angle can round either way
+_seam_angles = _near([0.0, math.pi / 2, math.pi, TWO_PI, 2 * TWO_PI,
+                      *circle._GRID_ANGLES[[1, 1024, 2047, 4095]].tolist()])
+_angles = st.one_of(_seam_angles, st.floats(-2 * TWO_PI, 2 * TWO_PI), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circle_maps, st.one_of(_angles, st.lists(_angles, min_size=1, max_size=30).map(np.array)))
+@example(CircleMap.winding(-1024), 1e300)
+@example(CircleMap.flat_odd(), np.array([0.0, -0.0, math.pi, -math.pi, 1e-150, -1e-150]))
+def test_circle_eval_equals_the_trigonometric_form(m, theta):
+    # bit for bit, for 0-d and array angles alike
+    expected = oracles.trig_circle_eval(m, theta)
+    got = circle_eval(m, theta)
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+# where y*y leaves the normal range, and where e^{-1/y^2} underflows
+_bump_inputs = st.one_of(
+    _near([0.0, 1e-150, 5e-324, 2.2250738585072014e-308, 1.4916681462400413e-154, 0.0268, 1.0]),
+    st.floats(-1e150, 1e150),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_bump_inputs, st.lists(_bump_inputs, min_size=1, max_size=40).map(np.array)))
+@example(np.array([0.0, -0.0, 1e-150, -1e-150, 5e-324, math.inf, -math.inf, math.nan]))
+def test_flat_bump_equals_the_masked_form(y):
+    expected = oracles.masked_flat_bump(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flat_bump(y)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("m", [CircleMap.winding(3), CircleMap.fold(), CircleMap.flat_even(),
+                               CircleMap.flat_odd()], ids=lambda m: m.kind)
+def test_non_finite_values_are_refused_before_the_grid(m, bad):
+    with mock.patch.object(circle, "circle_eval", side_effect=AssertionError("map evaluated")):
+        for values in ([bad], [0.3, bad, 1.0], np.array([0.3, bad])):
+            with pytest.raises(PreconditionViolatedError, match=f"value {bad} is not finite"):
+                circle_degrees(m, values)
+        with pytest.raises(PreconditionViolatedError, match=f"value {bad} is not finite"):
+            circle_degree2(m, bad)

@@ -163,9 +163,17 @@ def test_bad_value_encoding_exit_2(capsys):
         (("strata", "--circle", "rotation:x"), "--circle"),
         (("degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/,0"), "'1/'"),
         (("preimages", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "0,a/3"), "'a/3'"),
+        (("degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/0,1"), "'1/0'"),
+        (("degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/-3,0"), "'1/-3'"),
+        (("ORBIDEGREE_ENUM_CAP=abc", "degree", "--q", "1,1", "--r", "1,3", "--e", "1,3"),
+         "ORBIDEGREE_ENUM_CAP"),
     ],
 )
-def test_input_errors_name_the_bad_field(capsys, argv, named):
+def test_input_errors_name_the_bad_field(capsys, monkeypatch, argv, named):
+    # leading NAME=value items set environment variables, as on a shell line
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,6 +1,7 @@
 import json
 
-from orbidegree.circle import CircleMap
+from orbidegree import verify
+from orbidegree.circle import CircleMap, covering_degree
 from orbidegree.maps import MonomialMap
 from orbidegree.verify import (
     check_covering,
@@ -74,6 +75,20 @@ def test_covering_check():
     report = check_covering()
     assert report.passed
     assert report.cases == 15  # five projections plus the ten-case grid
+
+
+def test_covering_check_solves_each_map_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return covering_degree(*args)
+
+    monkeypatch.setattr(verify, "covering_degree", counting)
+    report = check_covering()
+    assert report.passed and report.cases == 15
+    # ten grid cases and the four upstairs powers 3, 4, 6, 8 not already among them
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_corpus_generators_deterministic():
