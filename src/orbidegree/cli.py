@@ -73,8 +73,9 @@ def _read_config_file(path: str, config: CliConfig) -> None:
     unknown = set(data) - {f.name for f in fields(CliConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "cap" in data and not (data["cap"] is None or _is_int(data["cap"])):
-        raise ValueError(f"config cap must be an integer or null, got {data['cap']!r}")
+    cap = data.get("cap")
+    if not (cap is None or (_is_int(cap) and cap >= 0)):
+        raise ValueError(f"config cap must be a non-negative integer or null, got {cap!r}")
     if "seed" in data and not _is_int(data["seed"]):
         raise ValueError(f"config seed must be an integer, got {data['seed']!r}")
     for key, value in data.items():
@@ -92,6 +93,11 @@ def load_config(args: argparse.Namespace) -> CliConfig:
             config.cap = int(text)
         except ValueError:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
+        if config.cap < 0:
+            raise ValueError(f"{CAP_ENV_VAR} must not be negative, got {text!r}")
+    flag_cap = getattr(args, "cap", None)
+    if flag_cap is not None and flag_cap < 0:
+        raise ValueError(f"--cap must not be negative, got {flag_cap}")
     for flag in ("format", "cap", "seed"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -161,10 +167,11 @@ def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:
         space = WpsOrbifold(_parse_weights(args.wps, "--wps"))
         header = space.to_json()
     else:
+        kind, colon, order = args.circle.partition(":")
         if args.circle == "reflection":
             space = CircleQuotient.reflection()
-        elif args.circle.startswith("rotation"):
-            order = args.circle.partition(":")[2] or "1"
+        elif kind == "rotation" and (order or not colon):
+            order = order or "1"
             if not order.isdecimal():
                 raise ValueError(f"--circle rotation order must be an integer, got {order!r}")
             space = CircleQuotient.rotation(int(order))
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_strata = sub.add_parser("strata", parents=[common], help="singular stratification")
     p_strata.add_argument("--wps", help="comma-separated weights, e.g. 1,3")
-    p_strata.add_argument("--circle", help="'reflection' or 'rotation:k'")
+    p_strata.add_argument("--circle", help="'reflection', 'rotation' or 'rotation:k'")
     p_strata.set_defaults(func=_cmd_strata)
 
     for name, func, needs_value in (

@@ -38,7 +38,7 @@ from .errors import (
 from .maps import MonomialMap
 from .orbits import _INT64_MAX, coset_minima, decode
 from .roots import ExactCoordinate, RootOfUnity
-from .spaces import WpsOrbifold, WpsPoint, canonical_numerators, isotropy
+from .spaces import WpsOrbifold, WpsPoint, canonical_numerators, isotropy, support_isotropy_order
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -105,15 +105,16 @@ class DegreeResult:
         return data
 
 
+def support_regularity(f: MonomialMap, support: tuple[int, ...]) -> RegularityCertificate:
+    """The certificate shared by every value of f with this support."""
+    violations = tuple((j, e) for j, e in enumerate(f.exponents) if j not in support and e > 1)
+    return RegularityCertificate(support, violations)
+
+
 def regularity(f: MonomialMap, y: WpsPoint) -> RegularityCertificate:
     if y.space != f.target:
         raise ValueError(f"value lives in {y.space}, not in the target {f.target}")
-    sup = y.support
-    in_support = set(sup)
-    violations = tuple(
-        (j, e) for j, e in enumerate(f.exponents) if j not in in_support and e > 1
-    )
-    return RegularityCertificate(sup, violations)
+    return support_regularity(f, y.support)
 
 
 def is_regular_value(f: MonomialMap, y: WpsPoint) -> bool:
@@ -158,8 +159,8 @@ def _solve_fibre(f: MonomialMap, y: WpsPoint, cap: int | None) -> _Fibre:
     q = f.source.weights
     r = f.target.weights
     e_sub = tuple(f.exponents[i] for i in sup)
-    g_val = math.gcd(*(r[i] for i in sup))
-    m_pt = math.gcd(*(q[i] for i in sup))
+    g_val = support_isotropy_order(r, sup)
+    m_pt = support_isotropy_order(q, sup)
     shift = tuple((r[i] // g_val) % f.exponents[i] for i in sup)
     codes = coset_minima(e_sub, shift, cap)
     return _Fibre(f.source, sup, codes, e_sub, g_val, m_pt, cert)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotEquivariantError, OrbidegreeError, WeightMismatchError
 from .roots import RootOfUnity
-from .spaces import WpsOrbifold, WpsPoint, isotropy
+from .spaces import WpsOrbifold, WpsPoint, support_isotropy_order
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,9 @@ class ThetaHom:
 
 def theta_at(f: MonomialMap, x: WpsPoint) -> ThetaHom:
     """Isotropy homomorphism of f at x, from Z_{|G_x|} to Z_{|G_{f(x)}|}."""
-    mx = isotropy(x).order
-    my = isotropy(underlying_image(f, x)).order
+    if x.space != f.source:
+        raise ValueError(f"point lives in {x.space}, not in the source {f.source}")
+    mx = support_isotropy_order(f.source.weights, x.support)
+    my = support_isotropy_order(f.target.weights, x.support)  # every e_i >= 1: f(x) has x's support
     return ThetaHom(mx, my, f.equivariance_degree)
 

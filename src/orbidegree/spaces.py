@@ -11,6 +11,11 @@ group, one step per coordinate, not by trying all q0 scalings; the same
 code canonicalizes one point or a whole fibre of points held as arrays
 (canonical_numerators).
 
+The isotropy order and the singular dimension of a point depend only on its
+support (the indices of its nonzero coordinates): support_isotropy_order and
+support_singular_dimension compute them from (weights, support), and
+isotropy, singular_dimension and strata all call them.
+
 Circle quotients S^1 // Z_k (free rotations) and S^1 // Z_2 (reflection, a
 closed interval with two order-2 endpoints) are the one-dimensional model
 family; the reflection quotient is the one supported space with a nonempty
@@ -203,40 +208,36 @@ class WpsPoint:
         return "[" + ":".join(str(c) for c in self.coords) + "]_" + str(self.space.weights)
 
 
+def support_isotropy_order(weights: tuple[int, ...], support: tuple[int, ...]) -> int:
+    """Order of the isotropy group of every point with this support: gcd{q_i : i in support}."""
+    return math.gcd(*(weights[i] for i in support))
+
+
+def support_singular_dimension(weights: tuple[int, ...], support: tuple[int, ...]) -> int:
+    """Real dimension of the chart subspace fixed by the isotropy of this support.
+
+    In the chart centred on the first support coordinate, each other coordinate
+    whose weight the isotropy order divides is one fixed complex line.
+    """
+    order = support_isotropy_order(weights, support)
+    return 2 * sum(1 for j, w in enumerate(weights) if j != support[0] and w % order == 0)
+
+
 @dataclass(frozen=True)
 class IsotropyGroup:
-    """Cyclic isotropy Z_order, acting on a centered chart with the given weights mod order."""
+    """Cyclic isotropy Z_order."""
 
     order: int
-    chart_weights: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
 
 def isotropy(x: WpsPoint) -> IsotropyGroup:
-    """Isotropy group of x: cyclic of order gcd{q_i : i in support(x)}.
-
-    Chart weights are q_j mod order for every j other than the slicing
-    coordinate (the first support index).
-    """
-    sup = x.support
-    q = x.space.weights
-    order = math.gcd(*(q[i] for i in sup))
-    i0 = sup[0]
-    chart = tuple(q[j] % order for j in range(len(q)) if j != i0)
-    return IsotropyGroup(order, chart)
+    """Isotropy group of x: cyclic of order gcd{q_i : i in support(x)}."""
+    return IsotropyGroup(support_isotropy_order(x.space.weights, x.support))
 
 
 def singular_dimension(x: WpsPoint) -> int:
-    """Real dimension of the chart subspace fixed by the isotropy action.
-
-    Each chart coordinate with weight divisible by the isotropy order
-    contributes one fixed complex line (two real dimensions).
-    """
-    iso = isotropy(x)
-    return 2 * sum(1 for w in iso.chart_weights if w == 0)
+    """Real dimension of the chart subspace fixed by the isotropy action at x."""
+    return support_singular_dimension(x.space.weights, x.support)
 
 
 ENDPOINT_TOL = 1e-8  # angles this close to 0 or pi are fixed by the reflection
@@ -342,14 +343,6 @@ class StrataReport:
         }
 
 
-def _support_stratum_data(weights: tuple[int, ...], sup: tuple[int, ...]) -> tuple[int, int]:
-    """(isotropy order, singular dimension) shared by all points with the given support."""
-    order = math.gcd(*(weights[i] for i in sup))
-    i0 = sup[0]
-    sdim = 2 * sum(1 for j in range(len(weights)) if j != i0 and weights[j] % order == 0)
-    return order, sdim
-
-
 def strata(space: WpsOrbifold | CircleQuotient) -> StrataReport:
     """Stratification by singular dimension, with orientability flags.
 
@@ -365,13 +358,12 @@ def strata(space: WpsOrbifold | CircleQuotient) -> StrataReport:
     by_sdim: dict[int, list[StratumComponent]] = {}
     for size in range(1, n1 + 1):
         for sup in itertools.combinations(range(n1), size):
-            order, sdim = _support_stratum_data(weights, sup)
             comp = StratumComponent(
                 support=sup,
-                isotropy_order=order,
+                isotropy_order=support_isotropy_order(weights, sup),
                 description=f"points with support {set(sup)}",
             )
-            by_sdim.setdefault(sdim, []).append(comp)
+            by_sdim.setdefault(support_singular_dimension(weights, sup), []).append(comp)
     records = tuple(
         StratumRecord(sdim, tuple(by_sdim[sdim]), open_dense=(sdim == space.dimension))
         for sdim in sorted(by_sdim, reverse=True)

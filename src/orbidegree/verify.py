@@ -22,7 +22,7 @@ from .degree import (
     DEFAULT_ENUMERATION_CAP,
     degree,
     degree_closed_form,
-    is_regular_value,
+    support_regularity,
     weighted_cardinality,
 )
 from .maps import MonomialMap, compose
@@ -116,23 +116,20 @@ def random_composable_pairs(
 
 
 def regular_support_values(f: MonomialMap) -> list[WpsPoint]:
-    """One value per regular support class of the target, ones on the support."""
+    """One value per regular support class of the target, ones on the support.
+
+    Supports come in strata(f.target) order; points are built for regular ones only.
+    """
     values = []
-    report = strata(f.target)
-    seen: set[tuple[int, ...]] = set()
-    for record in report.records:
+    for record in strata(f.target).records:
         for comp in record.components:
             sup = comp.support
-            if sup is None or sup in seen:
-                continue
-            seen.add(sup)
-            coords = tuple(
-                ExactCoordinate.one() if i in sup else ExactCoordinate.zero()
-                for i in range(len(f.target.weights))
-            )
-            y = WpsPoint(f.target, coords)
-            if is_regular_value(f, y):
-                values.append(y)
+            if support_regularity(f, sup).regular:
+                coords = tuple(
+                    ExactCoordinate.one() if i in sup else ExactCoordinate.zero()
+                    for i in range(len(f.target.weights))
+                )
+                values.append(WpsPoint(f.target, coords))
     return values
 
 

@@ -28,9 +28,20 @@ before its array kernel: one point, a residual-and-slope closure, Python
 floats.  ``loop_numeric_jacobian`` is the Jacobian loop of that time, one
 lift per (frame vector, sign) pair, each re-checking its input and
 rebuilding the source chart.
+
+``chart_isotropy``, ``chart_singular_dimension``, ``image_theta_at`` and
+``strata_regular_support_values`` are the support rules before they moved
+behind spaces.support_isotropy_order, spaces.support_singular_dimension and
+degree.support_regularity: isotropy carried the chart weights q_j mod order
+and the singular dimension counted their zeros; theta_at built and
+canonicalized the image point f(x) to read its isotropy; and the regular
+support values built a point for every support of strata(), deduplicated by
+a set, and tested each point's regularity with a set of support indices
+(``set_regularity_violations``).
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,9 +58,11 @@ from orbidegree.errors import (
     NonIntegralWeightError,
     PreconditionViolatedError,
 )
-from orbidegree.maps import MonomialMap
+from orbidegree.maps import MonomialMap, ThetaHom, underlying_image
+from orbidegree.roots import ExactCoordinate
 from orbidegree.slices import LiftEvaluation, evaluate_upstairs, orbit_direction, slice_chart
-from orbidegree.spaces import WpsOrbifold
+from orbidegree.spaces import WpsOrbifold, WpsPoint, strata
+from orbidegree.verify import random_monomial_maps
 
 
 def loop_canonical_turns(weights, turns):
@@ -340,3 +353,93 @@ def loop_numeric_jacobian(f, x):
     if smallest <= slices.SV_THRESHOLD:
         raise IrregularPointError(f"smallest singular value {smallest:.3g}")
     return (1 if np.linalg.det(jac) > 0 else -1), smallest
+
+
+@dataclass(frozen=True)
+class ChartIsotropy:
+    """Cyclic isotropy Z_order, acting on a centered chart with the given weights mod order."""
+
+    order: int
+    chart_weights: tuple[int, ...]
+
+
+def chart_isotropy(x):
+    """Isotropy group of x: cyclic of order gcd{q_i : i in support(x)}.
+
+    Chart weights are q_j mod order for every j other than the slicing
+    coordinate (the first support index).
+    """
+    sup = x.support
+    q = x.space.weights
+    order = math.gcd(*(q[i] for i in sup))
+    i0 = sup[0]
+    chart = tuple(q[j] % order for j in range(len(q)) if j != i0)
+    return ChartIsotropy(order, chart)
+
+
+def chart_singular_dimension(x):
+    """Real dimension of the chart subspace fixed by the isotropy action.
+
+    Each chart coordinate with weight divisible by the isotropy order
+    contributes one fixed complex line (two real dimensions).
+    """
+    iso = chart_isotropy(x)
+    return 2 * sum(1 for w in iso.chart_weights if w == 0)
+
+
+def image_theta_at(f, x):
+    """Isotropy homomorphism of f at x, from Z_{|G_x|} to Z_{|G_{f(x)}|}."""
+    mx = chart_isotropy(x).order
+    my = chart_isotropy(underlying_image(f, x)).order
+    return ThetaHom(mx, my, f.equivariance_degree)
+
+
+def set_regularity_violations(f, y):
+    """(index, exponent) of every coordinate off the support of y with exponent > 1."""
+    sup = y.support
+    in_support = set(sup)
+    return tuple((j, e) for j, e in enumerate(f.exponents) if j not in in_support and e > 1)
+
+
+def strata_regular_support_values(f):
+    """One value per regular support class of the target, ones on the support."""
+    values = []
+    report = strata(f.target)
+    seen = set()
+    for record in report.records:
+        for comp in record.components:
+            sup = comp.support
+            if sup is None or sup in seen:
+                continue
+            seen.add(sup)
+            coords = tuple(
+                ExactCoordinate.one() if i in sup else ExactCoordinate.zero()
+                for i in range(len(f.target.weights))
+            )
+            y = WpsPoint(f.target, coords)
+            if not set_regularity_violations(f, y):
+                values.append(y)
+    return values
+
+
+def drawn_maps():
+    """Maps from random_monomial_maps(max_n=3) by drawn seed, and maps with drawn weights."""
+    seeded = st.integers(min_value=0, max_value=2**32 - 1).map(
+        lambda seed: random_monomial_maps(1, seed=seed, max_n=3)[0]
+    )
+    return st.one_of(seeded, maps_with_values().map(lambda pair: pair[0]))
+
+
+@st.composite
+def points_on(draw, space):
+    """A point of ``space`` whose coordinates are each zero or a drawn root of unity."""
+    coords = []
+    for _ in space.weights:
+        if draw(st.booleans()):
+            coords.append("0")
+        else:
+            order = draw(st.integers(min_value=1, max_value=12))
+            coords.append(f"{draw(st.integers(min_value=0, max_value=order - 1))}/{order}")
+    if all(c == "0" for c in coords):
+        coords[draw(st.integers(min_value=0, max_value=len(coords) - 1))] = "0/1"
+    return space.point(*coords)

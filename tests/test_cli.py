@@ -167,6 +167,10 @@ def test_bad_value_encoding_exit_2(capsys):
         (("degree", "--q", "1,1", "--r", "1,3", "--e", "1,3", "--value", "1/-3,0"), "'1/-3'"),
         (("ORBIDEGREE_ENUM_CAP=abc", "degree", "--q", "1,1", "--r", "1,3", "--e", "1,3"),
          "ORBIDEGREE_ENUM_CAP"),
+        (("strata", "--circle", "rotation3"), "--circle"),
+        (("strata", "--circle", "rotationfoo"), "--circle"),
+        (("strata", "--circle", "rotation:"), "--circle"),
+        (("strata", "--circle", "rotation:0"), "rotation order must be >= 1"),
     ],
 )
 def test_input_errors_name_the_bad_field(capsys, monkeypatch, argv, named):
@@ -253,6 +257,29 @@ def test_invalid_config_exits_2(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("source, named", [
+    ("flag", "--cap"),
+    ("env", "ORBIDEGREE_ENUM_CAP"),
+    ("file", "config cap"),
+])
+def test_negative_cap_is_invalid_at_every_source(capsys, monkeypatch, tmp_path, source, named):
+    # a negative cap is refused as input naming its source; a cap of 0 is exceeded
+    monkeypatch.delenv("ORBIDEGREE_ENUM_CAP", raising=False)
+    for cap, expected in ((-5, 2), (0, 5)):
+        argv = ["degree", "--q", "1,1", "--r", "1,3", "--e", "1,3"]
+        if source == "flag":
+            argv += ["--cap", str(cap)]
+        elif source == "env":
+            monkeypatch.setenv("ORBIDEGREE_ENUM_CAP", str(cap))
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"cap": cap}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (expected, "")
+        assert err.startswith("error: ") and (named in err) == (cap < 0)
 
 
 def test_config_cap_null_means_no_cap(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import drawn_maps, image_theta_at, points_on
 from orbidegree.errors import NotEquivariantError, WeightMismatchError
 from orbidegree.maps import MonomialMap, compose, theta_at, underlying_image
 from orbidegree.roots import RootOfUnity
@@ -167,6 +168,26 @@ def test_theta_well_defined_and_weight_integral(fp):
     assert hom.target_order % image_order == 0
     assert hom.source_order == isotropy(x).order
     assert hom.exponent == hom.power % hom.target_order
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_theta_at_equals_the_image_point_form(data):
+    f = data.draw(drawn_maps())
+    x = data.draw(points_on(f.source))
+    assert theta_at(f, x) == image_theta_at(f, x)
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 3), (1, 1, 1)])
+def test_theta_at_refuses_a_point_from_another_space(weights):
+    f13 = MonomialMap.from_projective((1, 3))
+    x = WpsOrbifold(weights).all_ones()
+    with pytest.raises(ValueError) as new:
+        theta_at(f13, x)
+    with pytest.raises(ValueError) as old:
+        image_theta_at(f13, x)
+    assert str(new.value) == str(old.value)
+    assert str(new.value) == f"point lives in {x.space}, not in the source CP1(1,1)"
 
 
 def test_descriptor_round_trip_excludes_d():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coordinate_turns, loop_canonical_turns, scalar_fold
+from oracles import (
+    chart_isotropy,
+    chart_singular_dimension,
+    coordinate_turns,
+    loop_canonical_turns,
+    scalar_fold,
+)
 from orbidegree.errors import NotEffectiveError
 from orbidegree.roots import ExactCoordinate, RootOfUnity
 from orbidegree.spaces import (
@@ -154,6 +160,24 @@ def test_singular_dimension_matches_oracle(point):
 def test_sdim_full_iff_smooth(point):
     full = singular_dimension(point) == point.space.dimension
     assert full == (isotropy(point).order == 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(spaces_with_points())
+def test_support_rules_equal_the_chart_weight_forms(point):
+    assert isotropy(point).order == chart_isotropy(point).order
+    assert singular_dimension(point) == chart_singular_dimension(point)
+
+
+@settings(deadline=None, max_examples=50)
+@given(weight_tuples)
+def test_strata_components_equal_the_chart_weight_forms(weights):
+    space = WpsOrbifold(weights)
+    for record in strata(space).records:
+        for comp in record.components:
+            point = space.point(*("0/1" if i in comp.support else "0" for i in range(len(weights))))
+            assert comp.isotropy_order == chart_isotropy(point).order
+            assert record.sdim == chart_singular_dimension(point)
 
 
 def test_strata_reflection_quotient():

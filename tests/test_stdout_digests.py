@@ -4,7 +4,8 @@ A change to the engines must leave these bytes alone: `verify all` over
 several seeds runs every suite (the circle engine through its counterexample,
 covering and same-underlying checks), and the `degree`/`preimages` commands
 cover JSON and text output, int64 and object-dtype columns and the error
-exits 3, 4 and 5, which print nothing to stdout.
+exits 2, 3, 4 and 5, which print nothing to stdout.  The `strata` commands pin
+the stratification of weighted projective spaces and circle quotients.
 """
 
 import contextlib
@@ -40,6 +41,19 @@ CASES = [
     ("degree --q 1,1,1 --r 1,1,5 --e 1,1,5 --value 0/1,0,0", 3, EMPTY),  # critical value
     ("degree --q 1,2 --r 1,3 --e 1,1", 4, EMPTY),  # not equivariant
     ("degree --q 1,1 --r 1,3 --e 1,3 --cap 2", 5, EMPTY),  # cap exceeded
+    ("strata --wps 1,3", 0, "b02be1c94ee009a6952188d8046409d3de278970782fc4dcf8d6a71c3601d184"),
+    ("strata --wps 2,3,5", 0, "861982a70696f1988ef14756a0b902e2ebde3a81124699cfa8d8127060d56340"),
+    ("strata --wps 1,2,2,3", 0, "cb48f0db461822db5be456fbb9cbcf80935099df68e0587b6a8fdb02f62315d1"),
+    ("strata --wps 1,1,2,2 --format text", 0,
+     "2828c76452889c2ffc0f90d81b81feb7b4779a5f999f70f988e049cd33254e3e"),
+    ("strata --circle reflection", 0,
+     "5bdf31489d9a364d3a8158b6644054ddddfdf3b96b24dd5b7d9fa430684d0ccf"),
+    ("strata --circle rotation:4", 0,
+     "2de77938bc441734cbf75003f3dcafffcfaa405822e151fc861d82c3ab2cb604"),
+    ("strata --circle rotation --format text", 0,
+     "8b3bfa1e538681e95c2457e857d402574c9d723721ba9dc9874acff2e8b6c684"),
+    ("strata --circle rotation3", 2, EMPTY),  # not a --circle form
+    ("degree --q 1,1 --r 1,3 --e 1,3 --cap -5", 2, EMPTY),  # negative cap
 ]
 
 

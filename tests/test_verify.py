@@ -1,5 +1,9 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import drawn_maps, strata_regular_support_values
 from orbidegree import verify
 from orbidegree.circle import CircleMap, covering_degree
 from orbidegree.maps import MonomialMap
@@ -11,6 +15,7 @@ from orbidegree.verify import (
     check_value_independence,
     random_composable_pairs,
     random_monomial_maps,
+    regular_support_values,
     reports_to_json,
     run_all,
     run_suite,
@@ -29,6 +34,29 @@ def test_value_independence_wps():
     assert report.passed
     # regular classes: the full support and {1} (off-support exponent 1 there)
     assert report.cases == 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn_maps())
+def test_regular_support_values_equal_the_point_first_walk(f):
+    assert regular_support_values(f) == strata_regular_support_values(f)
+
+
+def test_regular_support_values_build_points_only_for_regular_supports(monkeypatch):
+    # from CP2 onto CP2(1,1,5): a value is regular iff its support holds index 2
+    f = MonomialMap.from_projective((1, 1, 5))
+    built = []
+    real = verify.WpsPoint
+
+    def counted(space, coords):
+        built.append(coords)
+        return real(space, coords)
+
+    monkeypatch.setattr(verify, "WpsPoint", counted)
+    values = regular_support_values(f)
+    # strata order: singular dimension 4 (supports by size, then lexicographic), then 0
+    assert [y.support for y in values] == [(0, 2), (1, 2), (0, 1, 2), (2,)]
+    assert len(built) == len(values)
 
 
 def test_value_independence_counterexample_required():
