@@ -13,7 +13,10 @@ circle_eval evaluates each kind by its own formula: a power map is
 power*theta mod 2*pi and computes no trigonometry, the fold and flat maps take
 the angle of (cos theta, f(sin theta)).  The flat bump clamps y*y below at
 1e-300 instead of masking small y, which gives the same bits, NaN included,
-without a floating-point warning.
+without a floating-point warning.  The grid and the slopes are evaluated on
+arrays; the refinement probes _image, the same formulas, on Python floats,
+where a power probe is two float operations with the bits of the array
+result and a fold or flat probe runs numpy's scalar ufuncs.
 
 Degrees are computed numerically in one pass with fixed constants: the
 covering circle is sampled on a GRID-point grid, sign changes of the wrapped
@@ -154,7 +157,16 @@ def circle_eval(m: CircleMap, theta):
     The image is renormalized to the unit circle, which its angle encodes;
     vectorized over array input.
     """
-    theta = np.asarray(theta, dtype=float)
+    return _image(m, np.asarray(theta, dtype=float))
+
+
+def _image(m: CircleMap, theta):
+    """circle_eval on an angle taken as given: a float array, or a Python float.
+
+    On a Python float a power map costs two float operations, bit for bit
+    the array result: int * float and float % follow the same IEEE steps
+    and sign rule as np.multiply and np.remainder.
+    """
     if m.kind in ("power", "covering"):
         return (m.power * theta) % TWO_PI
     y = np.sin(theta)
@@ -175,6 +187,8 @@ def _wrap(delta):
 def _refine(m: CircleMap, target: float, lo: float, hi: float) -> float:
     """Shrink the bracket [lo, hi] around the zero of wrap(circle_eval(theta) - target).
 
+    lo, hi and target are Python floats, and so is every probe.
+
     Illinois regula falsi: each step evaluates the secant point of the
     bracket, where the value kept at an end that survived two steps in a
     row is halved.  A secant point closer than REFINE_TOL/2 to an end is
@@ -192,7 +206,7 @@ def _refine(m: CircleMap, target: float, lo: float, hi: float) -> float:
     """
 
     def g(t: float) -> float:
-        return float(_wrap(circle_eval(m, t) - target))
+        return float(_wrap(_image(m, t) - target))
 
     f_lo = g(lo)
     if f_lo == 0.0:
@@ -377,9 +391,11 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
 
     refined: list[float] = []
     failed, failure = len(psis), None  # the first value whose refinement raises, and its error
-    for t, i in zip(bracket_target.tolist(), bracket_step.tolist()):
+    brackets = zip(bracket_target.tolist(), grid[bracket_step].tolist(),
+                   grid[bracket_step + 1].tolist())
+    for t, lo, hi in brackets:
         try:
-            refined.append(_refine(m, targets[t], grid[i], grid[i + 1]))
+            refined.append(_refine(m, float(targets[t]), lo, hi))
         except NoConvergenceError as exc:
             failed, failure = int(owner[t]), exc
             break

@@ -224,7 +224,7 @@ def _cmd_preimages(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
-    reports = verify_mod.run_suite(args.suite, seed=config.seed)
+    reports = verify_mod.run_suite(args.suite, seed=config.seed, cap=config.cap)
     if config.format == "json":
         print(json.dumps(verify_mod.reports_to_json(reports), indent=2))
     else:

@@ -214,7 +214,9 @@ def check_multiplicativity(
     return report
 
 
-def check_same_underlying(fa, fb, samples: int = 50, margin: float = 0.1) -> PropertyReport:
+def check_same_underlying(
+    fa, fb, samples: int = 50, margin: float = 0.1, cap: int | None = DEFAULT_ENUMERATION_CAP
+) -> PropertyReport:
     """Maps with equal underlying maps have equal degrees at every common value."""
     report = PropertyReport(
         "same-underlying",
@@ -223,7 +225,9 @@ def check_same_underlying(fa, fb, samples: int = 50, margin: float = 0.1) -> Pro
     if isinstance(fa, MonomialMap):
         # both enumerations must meet one closed form at every regular support value
         closed = [degree_closed_form(fa), degree_closed_form(fb)]
-        counts = [[weighted_cardinality(f, y) for y in regular_support_values(f)] for f in (fa, fb)]
+        counts = [
+            [weighted_cardinality(f, y, cap) for y in regular_support_values(f)] for f in (fa, fb)
+        ]
         report.record(
             closed[0] == closed[1]
             and all(count == d for row, d in zip(counts, closed) for count in row),
@@ -272,53 +276,53 @@ def check_covering(max_order: int = 6) -> PropertyReport:
     return report
 
 
-def _suite_local_constancy(seed: int) -> list[PropertyReport]:
+def _suite_local_constancy(seed: int, cap: int | None) -> list[PropertyReport]:
     reports = []
     f13 = MonomialMap.from_projective((1, 3))
-    reports.append(check_local_constancy(f13, f13.target.axis_point(1)))
+    reports.append(check_local_constancy(f13, f13.target.axis_point(1), cap=cap))
     ident = MonomialMap.identity(WpsOrbifold((1, 3)))
-    reports.append(check_local_constancy(ident, ident.target.all_ones()))
+    reports.append(check_local_constancy(ident, ident.target.all_ones(), cap=cap))
     h = MonomialMap.between((1, 3), (1, 2))
-    reports.append(check_local_constancy(h, h.target.all_ones()))
+    reports.append(check_local_constancy(h, h.target.all_ones(), cap=cap))
     for f in random_monomial_maps(10, seed=seed, max_product=5_000):
-        reports.append(check_local_constancy(f, f.target.all_ones(), perturbations=4))
+        reports.append(check_local_constancy(f, f.target.all_ones(), perturbations=4, cap=cap))
     return reports
 
 
-def _suite_value_independence(seed: int) -> list[PropertyReport]:
-    reports = [check_value_independence(MonomialMap.from_projective((2, 3, 5)))]
-    reports.append(check_value_independence(MonomialMap.identity(WpsOrbifold((1, 1)))))
+def _suite_value_independence(seed: int, cap: int | None) -> list[PropertyReport]:
+    reports = [check_value_independence(MonomialMap.from_projective((2, 3, 5)), cap)]
+    reports.append(check_value_independence(MonomialMap.identity(WpsOrbifold((1, 1))), cap))
     for f in random_monomial_maps(50, seed=seed, max_product=20_000):
-        reports.append(check_value_independence(f))
+        reports.append(check_value_independence(f, cap))
     return reports
 
 
-def _suite_multiplicativity(seed: int) -> list[PropertyReport]:
+def _suite_multiplicativity(seed: int, cap: int | None) -> list[PropertyReport]:
     reports = []
     fq, gq = MonomialMap.from_projective((1, 3)), MonomialMap.to_projective((1, 3))
-    reports.append(check_multiplicativity(fq, gq))
+    reports.append(check_multiplicativity(fq, gq, cap))
     reports.append(check_multiplicativity(MonomialMap.to_projective((1, 3)),
-                                          MonomialMap.from_projective((1, 2))))
-    reports.append(check_multiplicativity(fq, MonomialMap.identity(fq.target)))
+                                          MonomialMap.from_projective((1, 2)), cap))
+    reports.append(check_multiplicativity(fq, MonomialMap.identity(fq.target), cap))
     for f, g in random_composable_pairs(20, seed=seed):
-        reports.append(check_multiplicativity(f, g))
+        reports.append(check_multiplicativity(f, g, cap))
     return reports
 
 
-def _suite_same_underlying(seed: int) -> list[PropertyReport]:
+def _suite_same_underlying(seed: int, cap: int | None) -> list[PropertyReport]:
     reports = [check_same_underlying(CircleMap.flat_even(), CircleMap.flat_odd())]
     f13 = MonomialMap.from_projective((1, 3))
-    reports.append(check_same_underlying(f13, f13))
+    reports.append(check_same_underlying(f13, f13, cap=cap))
     twin = MonomialMap.from_descriptor(f13.descriptor())
-    reports.append(check_same_underlying(f13, twin))
+    reports.append(check_same_underlying(f13, twin, cap=cap))
     return reports
 
 
-def _suite_covering(seed: int) -> list[PropertyReport]:
+def _suite_covering(seed: int, cap: int | None) -> list[PropertyReport]:
     return [check_covering()]
 
 
-def _suite_counterexample(seed: int) -> list[PropertyReport]:
+def _suite_counterexample(seed: int, cap: int | None) -> list[PropertyReport]:
     return [check_value_independence(CircleMap.fold())]
 
 
@@ -332,18 +336,22 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> list[PropertyReport]:
+def run_suite(
+    name: str, seed: int = 0, cap: int | None = DEFAULT_ENUMERATION_CAP
+) -> list[PropertyReport]:
+    """The reports of one suite, or of every suite for "all"; every fibre the
+    suites enumerate is held to ``cap`` tuples (None: no cap)."""
     if name == "all":
-        return run_all(seed)
+        return run_all(seed, cap)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed)
+    return SUITES[name](seed, cap)
 
 
-def run_all(seed: int = 0) -> list[PropertyReport]:
+def run_all(seed: int = 0, cap: int | None = DEFAULT_ENUMERATION_CAP) -> list[PropertyReport]:
     reports: list[PropertyReport] = []
     for name in sorted(SUITES):
-        reports.extend(SUITES[name](seed))
+        reports.extend(SUITES[name](seed, cap))
     return reports
 
 

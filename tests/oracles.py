@@ -18,6 +18,11 @@ before it took arrays.  ``loop_bisect`` is the root refinement of the one pass b
 Illinois steps: plain bisection of a grid bracket down to REFINE_TOL, about
 33 evaluations per root.
 
+``array_probe_refine`` is the Illinois refinement before its probes took
+Python floats: _refine, _bisection_point and _checked_root verbatim, each
+probe a circle_eval of a 0-d angle (wrapped by this module's _wrap, same
+bits), called with the grid's numpy-float bracket ends.
+
 ``trig_circle_eval`` and ``masked_flat_bump`` are the map evaluation before
 it branched on the kind: cos and sin of every angle, also for power maps that
 discard them, and the bump e^{-1/y^2} computed under a mask and scattered
@@ -172,6 +177,89 @@ def loop_bisect(m, target, lo, hi):
         else:
             hi = mid
     theta = 0.5 * (lo + hi)
+    if abs(g(theta)) > RESIDUAL_TOL:
+        raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
+    return theta % TWO_PI
+
+
+def array_probe_refine(m, target, lo, hi):
+    """Shrink the bracket [lo, hi] around the zero of wrap(circle_eval(theta) - target).
+
+    Illinois regula falsi: each step evaluates the secant point of the
+    bracket, where the value kept at an end that survived two steps in a
+    row is halved.  A secant point closer than REFINE_TOL/2 to an end is
+    moved to REFINE_TOL/2 inside it; that closing probe ends the refinement
+    one step after a step lands within REFINE_TOL/2 of the root.  The
+    midpoint is taken instead when the two end values do not differ in sign
+    (an end evaluated on the 0 = 2*pi seam can round to the wrong side), and
+    for every step after as many secant steps as bisection would need, so
+    the steps cost at most twice what bisection's do.
+
+    Where the map barely turns, the difference rounds to exactly 0 on a
+    stretch around the root.  A step that lands on a stretch wider than
+    REFINE_TOL/2 returns the point of it that bisection of [lo, hi] returns,
+    evaluating only bisection's midpoints inside the last bracket.
+    """
+
+    def g(t: float) -> float:
+        return float(_wrap(circle_eval(m, t) - target))
+
+    f_lo = g(lo)
+    if f_lo == 0.0:
+        return lo
+    a, b, f_a, f_b = lo, hi, f_lo, g(hi)
+    half = 0.5 * REFINE_TOL
+    secant_steps = math.ceil(math.log2((hi - lo) / REFINE_TOL))  # bisection's step count
+    kept = 0  # the end that survived the last step: 1 for b, -1 for a
+    while b - a >= REFINE_TOL:
+        if secant_steps > 0 and (f_a < 0) != (f_b < 0):
+            secant_steps -= 1
+            theta = a - f_a * (b - a) / (f_b - f_a)
+            theta = min(max(theta, a + half), b - half)
+        else:
+            theta = 0.5 * (a + b)
+        f_theta = g(theta)
+        if f_theta == 0.0:
+            # the difference rounds to 0 over about ulp(2*pi) / slope; the
+            # secant slope says whether that may pass REFINE_TOL/2, and two
+            # probes confirm it does not
+            narrow = (b - a) * math.ulp(TWO_PI) < half * abs(f_b - f_a)
+            if narrow and g(theta - half) != 0.0 and g(theta + half) != 0.0:
+                return theta
+            return _array_probe_bisection_point(g, lo, hi, f_lo, a, b)
+        if (f_theta < 0) == (f_a < 0):
+            a, f_a = theta, f_theta
+            if kept == 1:
+                f_b *= 0.5
+            kept = 1
+        else:
+            b, f_b = theta, f_theta
+            if kept == -1:
+                f_a *= 0.5
+            kept = -1
+    return _array_probe_checked_root(g, 0.5 * (a + b))
+
+
+def _array_probe_bisection_point(g, lo, hi, f_lo, a, b):
+    """The root bisection of [lo, hi] returns, where g has the sign of f_lo up to a and
+    the other sign from b: only the midpoints between a and b are evaluated."""
+    while hi - lo >= REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if a < mid < b:
+            f_mid = g(mid)
+            if f_mid == 0.0:
+                return mid
+            below = (f_mid < 0) == (f_lo < 0)  # the root lies above mid
+        else:
+            below = mid <= a
+        if below:
+            lo = mid
+        else:
+            hi = mid
+    return _array_probe_checked_root(g, 0.5 * (lo + hi))
+
+
+def _array_probe_checked_root(g, theta):
     if abs(g(theta)) > RESIDUAL_TOL:
         raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
     return theta % TWO_PI

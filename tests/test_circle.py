@@ -274,10 +274,11 @@ def _brackets(m, value):
     return seen
 
 
-def _evaluations(func, *args, image=circle_eval):
-    """func(*args), or the NoConvergenceError it raises, and its scalar circle_eval calls.
+def _evaluations(func, *args, image=circle._image):
+    """func(*args), or the NoConvergenceError it raises, and its scalar map evaluations.
 
-    ``image`` stands in for circle_eval while func runs.
+    ``image`` stands in for circle._image while func runs: the refinement
+    probes it directly, and circle_eval, which the oracles probe, calls it.
     """
     count = 0
 
@@ -286,8 +287,7 @@ def _evaluations(func, *args, image=circle_eval):
         count += np.ndim(theta) == 0
         return image(m, theta)
 
-    with mock.patch.object(circle, "circle_eval", counting), \
-            mock.patch.object(oracles, "circle_eval", counting):
+    with mock.patch.object(circle, "_image", counting):
         try:
             result = func(*args)
         except NoConvergenceError:
@@ -314,7 +314,7 @@ def test_refinement_agrees_with_bisection_in_at_most_twice_its_evaluations(m, va
     for target, lo, hi in rnd.sample(brackets, min(len(brackets), 8)):
         old, old_calls = _evaluations(loop_bisect, m, target, lo, hi)
         new, new_calls = _evaluations(circle._refine, m, target, lo, hi)
-        assert new_calls <= 2 * old_calls
+        assert 1 <= new_calls <= 2 * old_calls
         if old is NoConvergenceError:
             assert new is NoConvergenceError
             continue
@@ -333,10 +333,10 @@ def test_winding_roots_take_at_most_six_evaluations(value):
     m = CircleMap.winding(1000)
     result, calls = _evaluations(circle_degree2, m, value)
     assert result.weighted_count == 1000
-    assert calls <= 6 * 1000
+    assert 1000 <= calls <= 6 * 1000
     # once per bracket too, not only on average
     per_root = [_evaluations(circle._refine, m, *b)[1] for b in _brackets(m, value)]
-    assert len(per_root) == 1000 and max(per_root) <= 6
+    assert len(per_root) == 1000 and 1 <= min(per_root) and max(per_root) <= 6
 
 
 # Two brackets that are slow for variants of the method.  flat_even at
@@ -356,7 +356,7 @@ def test_slow_refinements_cost_no_more_than_bisection(m, value):
     for target, lo, hi in brackets:
         old, old_calls = _evaluations(loop_bisect, m, target, lo, hi)
         new, new_calls = _evaluations(circle._refine, m, target, lo, hi)
-        assert new_calls <= old_calls
+        assert 1 <= new_calls <= old_calls
         assert abs(new - old) <= 2 * REFINE_TOL + 4 * math.ulp(TWO_PI) / abs(_slope(m, old))
 
 
@@ -401,7 +401,7 @@ def test_a_root_at_a_jump_costs_at_most_twice_bisection():
     m = CircleMap.winding(1)
     old, old_calls = _evaluations(loop_bisect, m, target, lo, hi, image=image)
     new, new_calls = _evaluations(circle._refine, m, target, lo, hi, image=image)
-    assert new_calls <= 2 * old_calls
+    assert 1 <= new_calls <= 2 * old_calls
     assert abs(new - root) < 1e-9 and abs(old - root) < 1e-9
 
 
@@ -420,6 +420,36 @@ def test_a_wide_zero_stretch_under_a_steep_secant_is_found_by_the_probes():
     old, _ = _evaluations(loop_bisect, m, target, lo, hi, image=image)
     new, _ = _evaluations(circle._refine, m, target, lo, hi, image=image)
     assert abs(old - root) <= 1e-11 and new == old
+
+
+def _refinement(refine, m, target, lo, hi):
+    try:
+        return refine(m, target, lo, hi)
+    except NoConvergenceError as exc:
+        return NoConvergenceError, str(exc)
+
+
+# the brackets of the zero-stretch and slow-refinement tests above among them
+@settings(max_examples=80, deadline=None)
+@given(circle_maps, st.floats(0.0, TWO_PI, exclude_max=True), st.randoms(use_true_random=False))
+@example(CircleMap.fold(), 1e-9, None)
+@example(CircleMap.fold(), math.pi - 1e-12, None)
+@example(CircleMap.flat_even(), 1e-9, None)
+@example(CircleMap.flat_odd(), math.pi - 1e-8, None)
+@example(CircleMap.flat_even(), math.pi - 1e-4, None)
+@example(CircleMap.winding(1024), 0.0, None)
+@example(CircleMap.winding(-1024), math.pi / 2, None)
+def test_float_probes_refine_to_the_array_probe_roots(m, value, rnd):
+    # the refinement probed 0-d arrays from numpy-float bracket ends; on
+    # Python floats every root and every error must keep its bits
+    brackets = _brackets(m, value)
+    if rnd is not None:
+        brackets = rnd.sample(brackets, min(len(brackets), 64))
+    for target, lo, hi in brackets:
+        assert type(lo) is type(hi) is type(target) is float
+        new = _refinement(circle._refine, m, target, lo, hi)
+        old = _refinement(oracles.array_probe_refine, m, target, np.float64(lo), np.float64(hi))
+        assert new == old
 
 
 def _covering_degree_case(k, power, b):
@@ -663,6 +693,26 @@ def test_circle_eval_equals_the_trigonometric_form(m, theta):
     assert type(got) is type(expected)
     assert np.shape(got) == np.shape(expected)
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+_probe_angles = st.one_of(
+    _seam_angles,
+    st.sampled_from(circle._GRID_ANGLES.tolist()),
+    st.sampled_from(circle._GRID_ANGLES.tolist()).map(lambda t: t + SLOPE_STEP),
+    st.floats(-2 * TWO_PI, 2 * TWO_PI),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circle_maps, _probe_angles)
+@example(CircleMap.winding(-3), -0.0)
+@example(CircleMap.winding(-1024), 1e300)
+def test_a_float_probe_equals_circle_eval_of_its_angle(m, theta):
+    got = circle._image(m, float(theta))
+    expected = circle_eval(m, theta)
+    assert got == expected
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 # where y*y leaves the normal range, and where e^{-1/y^2} underflows

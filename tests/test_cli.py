@@ -3,6 +3,7 @@ import importlib
 import io
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -282,6 +283,29 @@ def test_negative_cap_is_invalid_at_every_source(capsys, monkeypatch, tmp_path, 
         assert err.startswith("error: ") and (named in err) == (cap < 0)
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_verify_holds_its_fibres_to_the_cap(capsys, monkeypatch, tmp_path, source):
+    # the suites that enumerate fibres stop at the cap; the circle suites count none
+    monkeypatch.delenv("ORBIDEGREE_ENUM_CAP", raising=False)
+    for suite, cap, expected in (("value-independence", 1, 5), ("counterexample", 0, 0)):
+        argv = ["verify", suite]
+        if source == "flag":
+            argv += ["--cap", str(cap)]
+        elif source == "env":
+            monkeypatch.setenv("ORBIDEGREE_ENUM_CAP", str(cap))
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"cap": cap}))
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert re.fullmatch(r"error: fibre needs \d+ tuples, cap is 1\n", err)
+        else:
+            assert json.loads(out)[0]["passed"]
+
+
 def test_config_cap_null_means_no_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("ORBIDEGREE_ENUM_CAP", raising=False)
     argv = ["degree", "--q", "1,1", "--r", "1,1", "--e", "4000,4000", "--format", "text"]
@@ -303,7 +327,7 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     import orbidegree.verify as verify_mod
     from orbidegree.verify import PropertyReport
 
-    def failing_suite(seed):
+    def failing_suite(seed, cap):
         report = PropertyReport("broken", "a deliberately failing suite")
         report.record(False, {"witness": "injected"})
         return [report]

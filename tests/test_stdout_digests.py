@@ -54,6 +54,9 @@ CASES = [
      "8b3bfa1e538681e95c2457e857d402574c9d723721ba9dc9874acff2e8b6c684"),
     ("strata --circle rotation3", 2, EMPTY),  # not a --circle form
     ("degree --q 1,1 --r 1,3 --e 1,3 --cap -5", 2, EMPTY),  # negative cap
+    ("verify value-independence --cap 1", 5, EMPTY),  # the suites' fibres exceed it
+    ("verify counterexample --cap 0", 0,  # circle maps enumerate no fibre
+     "9b489894cac9dfefea3479362641e15eaad2d826f7353f8745fd76509753e27d"),
 ]
 
 

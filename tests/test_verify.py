@@ -1,11 +1,13 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import drawn_maps, strata_regular_support_values
 from orbidegree import verify
 from orbidegree.circle import CircleMap, covering_degree
+from orbidegree.errors import EnumerationCapExceededError
 from orbidegree.maps import MonomialMap
 from orbidegree.verify import (
     check_covering,
@@ -151,6 +153,22 @@ def test_run_suite_selectors():
         assert "unknown suite" in str(exc)
     else:
         raise AssertionError("bad selector must raise")
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_every_suite_holds_its_fibres_to_the_cap(suite):
+    if suite in ("covering", "counterexample"):  # circle maps: no fibre is enumerated
+        assert run_suite(suite, seed=0, cap=0) == run_suite(suite, seed=0)
+        return
+    with pytest.raises(EnumerationCapExceededError, match="cap is 1$"):
+        run_suite(suite, seed=0, cap=1)
+
+
+def test_same_underlying_monomial_maps_are_held_to_the_cap():
+    f13 = MonomialMap.from_projective((1, 3))
+    assert check_same_underlying(f13, f13, cap=3).passed  # the fibre holds 3 tuples
+    with pytest.raises(EnumerationCapExceededError, match="needs 3 tuples, cap is 2"):
+        check_same_underlying(f13, f13, cap=2)
 
 
 def test_summary_mentions_failures():
