@@ -14,9 +14,10 @@ power*theta mod 2*pi and computes no trigonometry, the fold and flat maps take
 the angle of (cos theta, f(sin theta)).  The flat bump clamps y*y below at
 1e-300 instead of masking small y, which gives the same bits, NaN included,
 without a floating-point warning.  The grid and the slopes are evaluated on
-arrays; the refinement probes _image, the same formulas, on Python floats,
+arrays.  The refinement probes _image, the same formulas, on Python floats,
 where a power probe is two float operations with the bits of the array
-result and a fold or flat probe runs numpy's scalar ufuncs.
+result and a fold or flat probe runs numpy's scalar ufuncs, or on arrays of
+one angle per bracket, as below.
 
 Degrees are computed numerically in one pass with fixed constants: the
 covering circle is sampled on a GRID-point grid, sign changes of the wrapped
@@ -40,7 +41,11 @@ once a bracket has used as many secant steps as bisection would need.  Near
 a critical value, where the difference rounds to exactly 0 on a stretch
 around the root, the point of it that bisection picks is returned.  A
 winding root takes 5 evaluations of the map, a fold or flat root about 8;
-bisection alone took 33.
+bisection alone took 33.  A call with at least LANE_BRACKETS brackets
+narrows them together as numpy lanes, one per bracket, that repeat this
+arithmetic step for step and so return the same roots bit for bit; with
+fewer, numpy's fixed cost per operation makes the scalar loop the faster
+(the 7 brackets of winding(7): about 30 us scalar, 170 us as lanes).
 
 A map whose turning rate the grid cannot resolve (4 * rate > GRID, i.e. a
 grid step may turn by more than pi/2) is refused with NoConvergenceError
@@ -68,6 +73,7 @@ TWO_PI = 2.0 * math.pi
 GRID = 4096  # sample steps around the covering circle
 BOUNDED_RATE = 3  # turning-rate bound of the fold and flat maps (measured: 1.43 and e)
 REFINE_TOL = 1e-12  # root refinement stops once a bracket is this narrow
+LANE_BRACKETS = 64  # a call with this many brackets refines them as numpy lanes, not one by one
 RESIDUAL_TOL = 1e-6  # largest angle miss accepted at a refined root
 SLOPE_STEP = 1e-6  # half-width of the central difference for derivatives
 DERIVATIVE_THRESHOLD = 1e-8  # a preimage with |derivative| at or below it is critical
@@ -204,10 +210,7 @@ def _refine(m: CircleMap, target: float, lo: float, hi: float) -> float:
     REFINE_TOL/2 returns the point of it that bisection of [lo, hi] returns,
     evaluating only bisection's midpoints inside the last bracket.
     """
-
-    def g(t: float) -> float:
-        return float(_wrap(_image(m, t) - target))
-
+    g = _difference(m, target)
     f_lo = g(lo)
     if f_lo == 0.0:
         return lo
@@ -265,8 +268,113 @@ def _bisection_point(g, lo: float, hi: float, f_lo: float, a: float, b: float) -
 
 def _checked_root(g, theta: float) -> float:
     if abs(g(theta)) > RESIDUAL_TOL:
-        raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
+        raise _stalled(theta)
     return theta % TWO_PI
+
+
+def _stalled(theta: float) -> NoConvergenceError:
+    return NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
+
+
+def _difference(m: CircleMap, target: float):
+    """The wrapped angle from ``target`` to the image of a Python float, as a float."""
+    return lambda theta: float(_wrap(_image(m, theta) - target))
+
+
+def _refine_each(m: CircleMap, targets, los, his) -> tuple[list[float], NoConvergenceError | None]:
+    """_refine of each bracket in turn: the roots up to the first bracket whose
+    refinement raises, and that error (None if none does)."""
+    refined = []
+    for target, lo, hi in zip(targets, los, his):
+        try:
+            refined.append(_refine(m, target, lo, hi))
+        except NoConvergenceError as exc:
+            return refined, exc
+    return refined, None
+
+
+def _refine_lanes(
+    m: CircleMap, target: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, NoConvergenceError | None]:
+    """_refine_each over numpy lanes, one per bracket: the same roots and error, bit for bit.
+
+    Each lane runs _refine's arithmetic on elementwise array operations,
+    which round as the float operations do: the secant budget, taken with
+    math.log2 per distinct bracket width, the clamped secant point, the
+    midpoint fallback and the Illinois halving.  The secant division is
+    masked to the lanes that take a secant step.  A lane leaves where _refine
+    returns: at an exact 0 of its lower end, at a closed bracket after the
+    residual check, or at an exact 0 inside, where the narrow test and the
+    two REFINE_TOL/2 probes run in lanes too and a lane on a wider zero
+    stretch finishes in the scalar _bisection_point.
+    """
+
+    def g(theta, at):
+        return _wrap(_image(m, theta) - at)
+
+    n = len(target)
+    roots = np.empty(n)
+    failures: dict[int, NoConvergenceError] = {}  # lane -> the error _refine raises there
+    f_lo = g(lo, target)
+    roots[f_lo == 0.0] = lo[f_lo == 0.0]
+    lane = (f_lo != 0.0).nonzero()[0]
+    at, a, b, f_a = target[lane], lo[lane], hi[lane], f_lo[lane]
+    f_b = g(b, at)
+    widths, width_of = np.unique((b - a) / REFINE_TOL, return_inverse=True)
+    steps = np.array([math.ceil(math.log2(w)) for w in widths.tolist()], dtype=np.int64)
+    steps = steps[width_of]  # bisection's step count
+    kept = np.zeros(len(lane), dtype=np.int64)  # as in _refine: 1 for b, -1 for a
+    half = 0.5 * REFINE_TOL
+    closed = []  # (lanes, midpoints, targets) of the brackets narrowed below REFINE_TOL
+    while len(lane):
+        open_ = b - a >= REFINE_TOL
+        if not open_.all():
+            shut = ~open_
+            closed.append((lane[shut], 0.5 * (a[shut] + b[shut]), at[shut]))
+            lane, at, a, b, f_a, f_b, steps, kept = (
+                x[open_] for x in (lane, at, a, b, f_a, f_b, steps, kept)
+            )
+            continue
+        secant = (steps > 0) & ((f_a < 0) != (f_b < 0))
+        steps -= secant
+        theta = a - np.divide(f_a * (b - a), f_b - f_a, out=np.zeros(len(lane)), where=secant)
+        low, high = a + half, b - half
+        theta = np.where(low > theta, low, theta)  # min(max(theta, low), high), ties as in Python
+        theta = np.where(high < theta, high, theta)
+        theta = np.where(secant, theta, 0.5 * (a + b))
+        f_theta = g(theta, at)
+        zero = f_theta == 0.0
+        if zero.any():
+            z = zero.nonzero()[0]
+            narrow = (b[z] - a[z]) * math.ulp(TWO_PI) < half * np.abs(f_b[z] - f_a[z])
+            narrow[narrow] = g(theta[z[narrow]] - half, at[z[narrow]]) != 0.0
+            narrow[narrow] = g(theta[z[narrow]] + half, at[z[narrow]]) != 0.0
+            roots[lane[z[narrow]]] = theta[z[narrow]]
+            for i in z[~narrow].tolist():  # a zero stretch wider than REFINE_TOL/2
+                j = int(lane[i])
+                point = (float(lo[j]), float(hi[j]), float(f_lo[j]), float(a[i]), float(b[i]))
+                try:
+                    roots[j] = _bisection_point(_difference(m, float(at[i])), *point)
+                except NoConvergenceError as exc:
+                    failures[j] = exc
+            live = ~zero
+            lane, at, a, b, f_a, f_b, steps, kept, theta, f_theta = (
+                x[live] for x in (lane, at, a, b, f_a, f_b, steps, kept, theta, f_theta)
+            )
+        same = (f_theta < 0) == (f_a < 0)  # theta replaces a, b survives
+        f_a, f_b = (
+            np.where(same, f_theta, np.where(kept == -1, f_a * 0.5, f_a)),
+            np.where(same, np.where(kept == 1, f_b * 0.5, f_b), f_theta),
+        )
+        a, b = np.where(same, theta, a), np.where(same, b, theta)
+        kept = np.where(same, 1, -1)
+    if closed:
+        lane, mid, at = (np.concatenate(x) for x in zip(*closed))
+        roots[lane] = mid % TWO_PI
+        for i in (np.abs(g(mid, at)) > RESIDUAL_TOL).nonzero()[0].tolist():
+            failures[int(lane[i])] = _stalled(float(mid[i]))
+    first = min(failures, default=n)
+    return roots[:first], failures.get(first)
 
 
 def _targets(m: CircleMap, psi: float, isotropy: int) -> list[float]:
@@ -360,11 +468,12 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     """circle_degree2(m, value) for each of ``values``, from one evaluation of the grid.
 
     The brackets of all values are found in one sparse search and refined
-    by the scalar _refine, the slopes of all roots come from one evaluation,
-    and roots, orbits and weights are tallied over (value, root) rows; each
-    result is the one a call for its value alone returns, bit for bit.  The
-    error raised is the one the first failing value raises in
-    ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
+    one by one with the scalar _refine, or as numpy lanes when there are at
+    least LANE_BRACKETS of them, with the same roots bit for bit; the slopes
+    of all roots come from one evaluation, and roots, orbits and weights are
+    tallied over (value, root) rows.  Each result is the one a call for its
+    value alone returns, bit for bit.  The error raised is the one the first
+    failing value raises in ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
     no angle; it is refused with PreconditionViolatedError before any work.
     """
     for value in values:
@@ -375,7 +484,7 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     psis = [value % TWO_PI for value in values]
     value_isotropy = m.codomain.isotropy_order(np.array(psis))
     per_value = [_targets(m, psi, iso) for psi, iso in zip(psis, value_isotropy.tolist())]
-    targets = [t for ts in per_value for t in ts]
+    targets = np.array([t for ts in per_value for t in ts])
     owner = np.array([v for v, ts in enumerate(per_value) for _ in ts])  # value of a target
 
     rate = abs(m.power) if m.kind in ("power", "covering") else BOUNDED_RATE  # |d image / d theta|
@@ -387,18 +496,15 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     grid = _GRID_ANGLES
     image = circle_eval(m, grid)
     image[-1] = image[0]  # 2*pi is 0 again; evaluated apart, they can round apart
-    hit_target, hit_step, bracket_target, bracket_step = _crossings(image, np.array(targets))
+    hit_target, hit_step, bracket_target, bracket_step = _crossings(image, targets)
 
-    refined: list[float] = []
-    failed, failure = len(psis), None  # the first value whose refinement raises, and its error
-    brackets = zip(bracket_target.tolist(), grid[bracket_step].tolist(),
-                   grid[bracket_step + 1].tolist())
-    for t, lo, hi in brackets:
-        try:
-            refined.append(_refine(m, float(targets[t]), lo, hi))
-        except NoConvergenceError as exc:
-            failed, failure = int(owner[t]), exc
-            break
+    brackets = (targets[bracket_target], grid[bracket_step], grid[bracket_step + 1])
+    if len(bracket_step) >= LANE_BRACKETS:
+        refined, failure = _refine_lanes(m, *brackets)
+    else:
+        refined, failure = _refine_each(m, *(ends.tolist() for ends in brackets))
+    # the first value whose refinement raises
+    failed = len(psis) if failure is None else int(owner[bracket_target[len(refined)]])
     roots = np.concatenate([grid[hit_step], refined])  # grid steps start below 2*pi
     root_owner = owner[np.concatenate([hit_target, bracket_target[: len(refined)]])]
     order = np.lexsort((roots, root_owner))

@@ -260,39 +260,61 @@ def test_one_pass_matches_the_scalar_root_finder(m, value):
     assert all(abs(p.angle - pt[0]) < 1e-10 for p, pt in zip(got, points))
 
 
-def _brackets(m, value):
-    """(target, lo, hi) of every grid bracket the one pass refines for m at value."""
-    seen = []
-    refine = circle._refine
+def _brackets(m, *values):
+    """(target, lo, hi) of every grid bracket circle_degrees finds for m at values,
+    in the order it refines them, as Python floats."""
+    found = []
+    crossings = circle._crossings
 
-    def record(m, target, lo, hi):
-        seen.append((target, lo, hi))
-        return refine(m, target, lo, hi)
+    def record(image, targets):
+        crossed = crossings(image, targets)
+        found.append((targets, crossed))
+        return crossed
 
-    with mock.patch.object(circle, "_refine", record):
-        _outcome(circle_degree2, m, value)
-    return seen
+    with mock.patch.object(circle, "_crossings", record):
+        _outcome(circle_degrees, m, list(values))
+    if not found:  # refused before the grid
+        return []
+    targets, (_, _, bracket_target, bracket_step) = found[0]
+    grid = circle._GRID_ANGLES
+    return list(zip(targets[bracket_target].tolist(), grid[bracket_step].tolist(),
+                    grid[bracket_step + 1].tolist()))
 
 
 def _evaluations(func, *args, image=circle._image):
-    """func(*args), or the NoConvergenceError it raises, and its scalar map evaluations.
+    """func(*args), or the NoConvergenceError it raises, and the angles its refinement probes.
 
-    ``image`` stands in for circle._image while func runs: the refinement
-    probes it directly, and circle_eval, which the oracles probe, calls it.
+    ``image`` stands in for circle._image while func runs, and every angle it
+    is given counts: one per float probe, one per lane of an array probe.
+    The grid and slope evaluations of circle_degrees go through circle.circle_eval,
+    which is patched to bypass the count; the oracles probe the original
+    circle_eval, which calls circle._image, so their probes count.
     """
     count = 0
 
     def counting(m, theta):
         nonlocal count
-        count += np.ndim(theta) == 0
+        count += np.size(theta)
         return image(m, theta)
 
-    with mock.patch.object(circle, "_image", counting):
+    def uncounted(m, theta):
+        return image(m, np.asarray(theta, dtype=float))
+
+    with mock.patch.object(circle, "_image", counting), \
+            mock.patch.object(circle, "circle_eval", uncounted):
         try:
             result = func(*args)
         except NoConvergenceError:
             result = NoConvergenceError
     return result, count
+
+
+def _refine_lane(m, target, lo, hi):
+    """_refine of one bracket on the lane path: its root, or the error raised."""
+    roots, failure = circle._refine_lanes(m, *(np.array([x]) for x in (target, lo, hi)))
+    if failure is not None:
+        raise failure
+    return float(roots[0])
 
 
 def _slope(m, theta):
@@ -331,11 +353,15 @@ def test_refinement_agrees_with_bisection_in_at_most_twice_its_evaluations(m, va
 @pytest.mark.parametrize("value", [0.3, 1.0])
 def test_winding_roots_take_at_most_six_evaluations(value):
     m = CircleMap.winding(1000)
-    result, calls = _evaluations(circle_degree2, m, value)
+    result, calls = _evaluations(circle_degree2, m, value)  # its 1000 brackets run as lanes
     assert result.weighted_count == 1000
     assert 1000 <= calls <= 6 * 1000
-    # once per bracket too, not only on average
-    per_root = [_evaluations(circle._refine, m, *b)[1] for b in _brackets(m, value)]
+    # once per bracket too, not only on average: each lane, run alone, probes
+    # what the scalar refinement probes, and the lanes of the call add up
+    brackets = _brackets(m, value)
+    per_root = [_evaluations(circle._refine, m, *b)[1] for b in brackets]
+    per_lane = [_evaluations(_refine_lane, m, *b)[1] for b in brackets]
+    assert per_lane == per_root and sum(per_lane) == calls
     assert len(per_root) == 1000 and 1 <= min(per_root) and max(per_root) <= 6
 
 
@@ -387,17 +413,35 @@ def test_refinement_of_a_jump_is_refused():
         loop_bisect(m, math.pi, -delta, delta)
 
 
-def test_a_root_at_a_jump_costs_at_most_twice_bisection():
-    # left of the root the difference is -1e-6 * distance, right of it 1e-7:
-    # each secant step from the small side only doubles its length, and after
-    # crossing the root the next round starts again from the jump
-    lo, hi, target = 1.0, 1.0 + TWO_PI / GRID, 1.0
-    root = lo + 0.7 * (hi - lo)
+def _jump_image(target, root):
+    """An image whose difference to target is -1e-6 * distance left of root and 1e-7
+    right of it."""
 
     def image(m, theta):
         theta = np.asarray(theta, dtype=float)
         return (target + np.where(theta > root, 1e-7, -1e-6 * (root - theta))) % TWO_PI
 
+    return image
+
+
+def _zero_stretch_image(target, root):
+    """An image whose difference to target is exactly 0 within 1e-11 of root and
+    turns at slope 1000 outside."""
+
+    def image(m, theta):
+        theta = np.asarray(theta, dtype=float)
+        off = theta - root
+        return (target + np.where(np.abs(off) <= 1e-11, 0.0, 1000.0 * off)) % TWO_PI
+
+    return image
+
+
+def test_a_root_at_a_jump_costs_at_most_twice_bisection():
+    # each secant step from the small side only doubles its length, and after
+    # crossing the root the next round starts again from the jump
+    lo, hi, target = 1.0, 1.0 + TWO_PI / GRID, 1.0
+    root = lo + 0.7 * (hi - lo)
+    image = _jump_image(target, root)
     m = CircleMap.winding(1)
     old, old_calls = _evaluations(loop_bisect, m, target, lo, hi, image=image)
     new, new_calls = _evaluations(circle._refine, m, target, lo, hi, image=image)
@@ -410,12 +454,7 @@ def test_a_wide_zero_stretch_under_a_steep_secant_is_found_by_the_probes():
     # exactly 0: the secant slope calls the stretch narrow, the probes do not
     lo, target, step = 1.0, 1.0, TWO_PI / GRID / 3
     root, hi = lo + step, lo + 3 * step
-
-    def image(m, theta):
-        theta = np.asarray(theta, dtype=float)
-        off = theta - root
-        return (target + np.where(np.abs(off) <= 1e-11, 0.0, 1000.0 * off)) % TWO_PI
-
+    image = _zero_stretch_image(target, root)
     m = CircleMap.winding(1)
     old, _ = _evaluations(loop_bisect, m, target, lo, hi, image=image)
     new, _ = _evaluations(circle._refine, m, target, lo, hi, image=image)
@@ -450,6 +489,97 @@ def test_float_probes_refine_to_the_array_probe_roots(m, value, rnd):
         new = _refinement(circle._refine, m, target, lo, hi)
         old = _refinement(oracles.array_probe_refine, m, target, np.float64(lo), np.float64(hi))
         assert new == old
+
+
+def _lane_outcomes(m, brackets):
+    """Each bracket's outcome on the lane path, as _refinement gives it.
+
+    The lanes return the roots before the first failing bracket and its
+    error; the brackets after it run again as lanes of their own."""
+    outcomes = []
+    while brackets:
+        columns = (np.array(column) for column in zip(*brackets))
+        roots, failure = circle._refine_lanes(m, *columns)
+        outcomes += roots.tolist()
+        if failure is None:
+            break
+        outcomes.append((type(failure), str(failure)))
+        brackets = brackets[len(roots) + 1:]
+    return outcomes
+
+
+def _scalar_outcomes(m, brackets):
+    return [_refinement(circle._refine, m, *bracket) for bracket in brackets]
+
+
+# the zero-stretch and slow-refinement brackets among them, each value list a
+# batch of lanes
+@settings(max_examples=60, deadline=None)
+@given(circle_maps, st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=12))
+@example(CircleMap.fold(), [1e-9, math.pi - 1e-12, 0.4, 2.9])
+@example(CircleMap.flat_even(), [1e-9, math.pi - 1e-4, 1.0])
+@example(CircleMap.flat_odd(), [math.pi - 1e-8, 1e-9])
+@example(CircleMap.winding(1024), [0.0, 0.3])
+@example(CircleMap.winding(-1024), [math.pi / 2, 1.0])
+@example(CircleMap.winding(1000), [1.0])  # 35 secant steps land on an exact 0
+def test_lanes_refine_each_bracket_as_the_scalar_refinement(m, values):
+    brackets = _brackets(m, *values)
+    assert _lane_outcomes(m, brackets) == _scalar_outcomes(m, brackets)
+
+
+def _synthetic_brackets(target, root, width):
+    """Brackets of target around root, seeded, one that starts on root, and two
+    right of root, whose ends do not differ in sign."""
+    rng = np.random.default_rng(2)
+    ends = [(0.7 * width, 0.3 * width), *rng.uniform(1e-13, width, size=(200, 2)).tolist(),
+            (0.0, 0.5 * width), (-0.1 * width, 0.5 * width), (-0.5 * width, 0.9 * width)]
+    return [(target, root - below, root + above) for below, above in ends]
+
+
+@pytest.mark.parametrize("make_image", [_jump_image, _zero_stretch_image])
+def test_lanes_refine_synthetic_images_as_the_scalar_refinement(make_image):
+    target = root = 1.0
+    brackets = _synthetic_brackets(target, root, TWO_PI / GRID)
+    bisection = mock.patch.object(circle, "_bisection_point", wraps=circle._bisection_point)
+    with mock.patch.object(circle, "_image", make_image(target, root)), bisection as fallback:
+        lanes = _lane_outcomes(CircleMap.winding(1), brackets)
+        lane_fallbacks = fallback.call_count
+        assert lanes == _scalar_outcomes(CircleMap.winding(1), brackets)
+    # both images have a zero stretch wider than REFINE_TOL/2 at the root (the
+    # jump image left of it, where 1.0 - 1e-6 * distance rounds to 1.0), and a
+    # lane that lands on it finishes in the scalar bisection
+    assert lane_fallbacks > 0
+
+
+def test_a_refused_bisection_fallback_fails_only_its_lane():
+    target = root = 1.0
+    width = TWO_PI / GRID
+    brackets = _synthetic_brackets(target, root, width)
+    bisection_point = circle._bisection_point
+
+    def refusing(g, lo, hi, f_lo, a, b):
+        if hi - lo > width:
+            raise NoConvergenceError(f"refused on [{lo!r}, {hi!r}]")
+        return bisection_point(g, lo, hi, f_lo, a, b)
+
+    with mock.patch.object(circle, "_image", _zero_stretch_image(target, root)), \
+            mock.patch.object(circle, "_bisection_point", refusing):
+        lanes = _lane_outcomes(CircleMap.winding(1), brackets)
+        assert lanes == _scalar_outcomes(CircleMap.winding(1), brackets)
+    assert {type(outcome) for outcome in lanes} == {float, tuple}
+
+
+def test_lanes_refuse_the_brackets_of_a_jump_as_the_scalar_refinement():
+    # the wrapped difference of winding(1) at pi jumps across theta = 0; the
+    # brackets around pi are regular
+    m, width = CircleMap.winding(1), TWO_PI / GRID
+    jumps = _synthetic_brackets(math.pi, 0.0, width)
+    regular = _synthetic_brackets(math.pi, math.pi, width)
+    brackets = [bracket for pair in zip(jumps[::2], regular[::2]) for bracket in pair]
+    outcomes = _lane_outcomes(m, brackets)
+    assert outcomes == _scalar_outcomes(m, brackets)
+    assert all(outcome[0] is NoConvergenceError for outcome in outcomes[::2])
+    assert any(isinstance(root, float) for root in outcomes[1::2])
 
 
 def _covering_degree_case(k, power, b):
@@ -627,6 +757,55 @@ def test_a_refinement_failure_is_raised_in_value_order(failing, critical):
         expected = _loop_outcome(fold, values)
         assert _batch_outcome(fold, values) == expected
     assert expected[0] is (NoConvergenceError if critical in (None, 2) else CriticalValueError)
+
+
+def _jump_at(image, target):
+    """``image`` with a jump where it crosses target: within 1e-2 of target it is
+    target - 1e-3 below and target + 1e-3 above, so a refinement there is refused."""
+
+    def jumped(m, theta):
+        angle = image(m, theta)
+        near = np.abs(angle - target) < 1e-2
+        return np.where(near, target + np.where(angle < target, -1e-3, 1e-3), angle)
+
+    return jumped
+
+
+@pytest.mark.parametrize("failing, critical", [(20, None), (30, 10), (10, 30), (0, 39)])
+def test_a_lane_failure_is_raised_in_value_order(failing, critical):
+    # 40 fold values: 80 brackets, refined as lanes; the refinement of value
+    # `failing` crosses a jump, and value `critical` is the critical value 0
+    fold = CircleMap.fold()
+    values = np.linspace(0.2, math.pi - 0.2, 40).tolist()
+    if critical is not None:
+        values[critical] = 0.0
+    lanes = mock.patch.object(circle, "_refine_lanes", wraps=circle._refine_lanes)
+    with mock.patch.object(circle, "_image", _jump_at(circle._image, values[failing])), \
+            lanes as lane_path:
+        batch = _batch_outcome(fold, values)
+        assert lane_path.call_count == 1
+        assert len(lane_path.call_args.args[1]) >= circle.LANE_BRACKETS
+        assert batch == _loop_outcome(fold, values)
+    assert batch[0] is (CriticalValueError if critical is not None and critical < failing
+                        else NoConvergenceError)
+
+
+@pytest.mark.parametrize("m, count, lanes", [
+    (CircleMap.winding(1000), 1, True),
+    (CircleMap.flat_even(), 50, True),
+    (CircleMap.flat_odd(), 50, True),
+    (CircleMap.winding(50), 1, False),
+    (CircleMap.fold(), 1, False),
+    (CircleMap.flat_even(), 1, False),
+    (CircleMap.flat_odd(), 1, False),
+    (CircleMap.covering_projection(6), 1, False),
+])
+def test_calls_with_many_brackets_refine_them_as_lanes(m, count, lanes):
+    values = np.linspace(0.3, math.pi - 0.3, count).tolist()
+    with mock.patch.object(circle, "_refine_lanes", wraps=circle._refine_lanes) as lane_path, \
+            mock.patch.object(circle, "_refine_each", wraps=circle._refine_each) as each:
+        circle_degrees(m, values)
+    assert (lane_path.called, each.called) == (lanes, not lanes)
 
 
 def _grid_evaluations(func, *args):
