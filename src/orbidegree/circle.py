@@ -7,7 +7,10 @@ in the upper half circle; its mod-2 degree depends on the value probed, the
 behaviour the reflection quotient's codimension-1 stratum makes possible.
 The two flat maps replace y^2 by e^{-1/y^2} (even) and sign(y) e^{-1/y^2}
 (odd): equal underlying maps on the quotient, different isotropy
-homomorphisms, equal degrees.
+homomorphisms, equal degrees.  A power map theta -> power*theta descends
+between rotation quotients; windings and covering projections (power 1
+onto S^1 // Z_k) are power maps.  A map's kind fixes its isotropy
+homomorphism, which CircleMap.theta names.
 
 circle_eval evaluates each kind by its own formula: a power map is
 power*theta mod 2*pi and computes no trigonometry, the fold and flat maps take
@@ -79,7 +82,7 @@ SLOPE_STEP = 1e-6  # half-width of the central difference for derivatives
 DERIVATIVE_THRESHOLD = 1e-8  # a preimage with |derivative| at or below it is critical
 ANGLE_CLUSTER = 1e-8  # roots and folded angles closer than this coincide
 
-_KINDS = ("fold", "flat_even", "flat_odd", "power", "covering")
+_KINDS = ("fold", "flat_even", "flat_odd", "power")
 _GRID_ANGLES = np.linspace(0.0, TWO_PI, GRID + 1)
 _GRID_ANGLES.flags.writeable = False
 
@@ -101,17 +104,15 @@ class CircleMap:
     domain: CircleQuotient
     codomain: CircleQuotient
     power: int = 1
-    theta: str = "trivial"
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind in ("fold", "flat_even", "flat_odd"):
+        if self.kind != "power":
             if not self.domain.is_reflection:
                 raise ValueError(f"{self.kind} requires the reflection quotient as domain")
-            expected = "identity" if self.kind == "flat_odd" else "trivial"
-            if self.theta != expected:
-                raise ValueError(f"{self.kind} carries the {expected} homomorphism")
+            if self.power != 1:
+                raise ValueError(f"{self.kind} has no power, got power={self.power}")
         else:
             if self.domain.is_reflection or self.codomain.is_reflection:
                 raise ValueError("power maps act between rotation quotients")
@@ -120,6 +121,13 @@ class CircleMap:
                 raise NoHomomorphismError(
                     f"exp(2*pi*i*{self.power}/{k}) does not lie in the order-{b} rotation group"
                 )
+
+    @property
+    def theta(self) -> str:
+        """The isotropy homomorphism, fixed by the kind: gamma -> gamma^power for a power map."""
+        if self.kind == "power":
+            return "rotation"
+        return "identity" if self.kind == "flat_odd" else "trivial"
 
     @classmethod
     def fold(cls) -> "CircleMap":
@@ -134,27 +142,23 @@ class CircleMap:
     @classmethod
     def flat_odd(cls) -> "CircleMap":
         """(x, y) -> (x, sign(y) e^{-1/y^2}) normalized, with the identity homomorphism."""
-        return cls(
-            "flat_odd", CircleQuotient.reflection(), CircleQuotient.reflection(), theta="identity"
-        )
+        return cls("flat_odd", CircleQuotient.reflection(), CircleQuotient.reflection())
 
     @classmethod
     def winding(cls, k: int) -> "CircleMap":
         """theta -> k*theta on the plain circle."""
-        return cls("power", CircleQuotient.rotation(1), CircleQuotient.rotation(1), power=k,
-                   theta="rotation")
+        return cls.quotient_power(k, 1, 1)
 
     @classmethod
     def covering_projection(cls, order: int) -> "CircleMap":
         """The identity upstairs, projecting the circle onto S^1 // Z_order."""
-        return cls("covering", CircleQuotient.rotation(1), CircleQuotient.rotation(order),
-                   power=1, theta="rotation")
+        return cls.quotient_power(1, 1, order)
 
     @classmethod
     def quotient_power(cls, power: int, domain_order: int, codomain_order: int) -> "CircleMap":
         """theta -> power*theta descended to S^1//Z_{domain} -> S^1//Z_{codomain}."""
         return cls("power", CircleQuotient.rotation(domain_order),
-                   CircleQuotient.rotation(codomain_order), power=power, theta="rotation")
+                   CircleQuotient.rotation(codomain_order), power=power)
 
 
 def circle_eval(m: CircleMap, theta):
@@ -173,7 +177,7 @@ def _image(m: CircleMap, theta):
     the array result: int * float and float % follow the same IEEE steps
     and sign rule as np.multiply and np.remainder.
     """
-    if m.kind in ("power", "covering"):
+    if m.kind == "power":
         return (m.power * theta) % TWO_PI
     y = np.sin(theta)
     if m.kind == "fold":
@@ -487,7 +491,7 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     targets = np.array([t for ts in per_value for t in ts])
     owner = np.array([v for v, ts in enumerate(per_value) for _ in ts])  # value of a target
 
-    rate = abs(m.power) if m.kind in ("power", "covering") else BOUNDED_RATE  # |d image / d theta|
+    rate = abs(m.power) if m.kind == "power" else BOUNDED_RATE  # |d image / d theta|
     if 4 * rate > GRID:
         raise NoConvergenceError(
             f"{m.kind} map turns at rate {rate}; a {GRID}-point grid resolves rates "

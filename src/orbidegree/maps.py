@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NotEquivariantError, OrbidegreeError, WeightMismatchError
-from .roots import RootOfUnity
+from .roots import RootOfUnity, integers
 from .spaces import WpsOrbifold, WpsPoint, support_isotropy_order
 
 
@@ -29,7 +29,7 @@ class MonomialMap:
     equivariance_degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        exponents = tuple(int(e) for e in self.exponents)
+        exponents = integers(self.exponents, "exponents", NotEquivariantError)
         object.__setattr__(self, "exponents", exponents)
         q, r = self.source.weights, self.target.weights
         if not (len(q) == len(r) == len(exponents)):
@@ -75,9 +75,9 @@ class MonomialMap:
     def from_descriptor(cls, data: dict) -> "MonomialMap":
         """Build from the wire descriptor {"q": [...], "r": [...], "e": [...]}; d is derived."""
         return cls(
-            WpsOrbifold(tuple(int(v) for v in data["q"])),
-            WpsOrbifold(tuple(int(v) for v in data["r"])),
-            tuple(int(v) for v in data["e"]),
+            WpsOrbifold(tuple(data["q"])),
+            WpsOrbifold(tuple(data["r"])),
+            tuple(data["e"]),
         )
 
     def descriptor(self) -> dict:
@@ -93,9 +93,6 @@ class MonomialMap:
 
     def __call__(self, x: WpsPoint) -> WpsPoint:
         return underlying_image(self, x)
-
-    def then(self, other: "MonomialMap") -> "MonomialMap":
-        return compose(self, other)
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.target}, e={self.exponents}, d={self.equivariance_degree}"

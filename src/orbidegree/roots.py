@@ -11,8 +11,20 @@ values needed anywhere in the library all have root-of-unity coordinates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+
+
+def integers(values, what: str, error: type[Exception] = ValueError) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints.
+
+    Ints and numpy integers pass; anything else, a float such as 2.5 or even
+    2.0 included, raises ``error`` instead of being truncated as int() would.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"expected integer {what}, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -51,16 +63,6 @@ class RootOfUnity:
     def one(cls) -> "RootOfUnity":
         return cls(0, 1)
 
-    @classmethod
-    def from_turns(cls, turns: Fraction) -> "RootOfUnity":
-        turns = turns % 1
-        return cls(turns.numerator, turns.denominator)
-
-    @property
-    def turns(self) -> Fraction:
-        """Exponent as a fraction of a full turn, in [0, 1)."""
-        return Fraction(self.num, self.order)
-
     @property
     def is_one(self) -> bool:
         return self.num == 0
@@ -88,7 +90,7 @@ class RootOfUnity:
 
     @classmethod
     def from_json(cls, data: dict) -> "RootOfUnity":
-        return cls(int(data["num"]), int(data["den"]))
+        return cls(*integers((data["num"], data["den"]), "num and den"))
 
     def __str__(self) -> str:
         return f"{self.num}/{self.order}"
@@ -130,10 +132,6 @@ class ExactCoordinate:
         if self.root is None:
             return self
         return ExactCoordinate(self.root * gamma)
-
-    def sort_key(self) -> Fraction:
-        # zero sorts before every unit; units sort by their turn fraction
-        return Fraction(-1) if self.root is None else self.root.turns
 
     def cvalue(self) -> complex:
         return 0j if self.root is None else self.root.cvalue()

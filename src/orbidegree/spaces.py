@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotEffectiveError
-from .roots import ExactCoordinate, RootOfUnity
+from .roots import ExactCoordinate, RootOfUnity, integers
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class WpsOrbifold:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
+        weights = integers(self.weights, "weights")
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise ValueError("weights must be nonempty")
@@ -83,7 +83,7 @@ class WpsOrbifold:
 
     @classmethod
     def from_json(cls, data: dict) -> "WpsOrbifold":
-        return cls(tuple(int(w) for w in data["weights"]))
+        return cls(tuple(data["weights"]))
 
     def __str__(self) -> str:
         return "CP%d(%s)" % (self.complex_dimension, ",".join(map(str, self.weights)))
@@ -201,7 +201,7 @@ class WpsPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "WpsPoint":
-        space = WpsOrbifold(tuple(int(w) for w in data["weights"]))
+        space = WpsOrbifold(tuple(data["weights"]))
         return cls(space, tuple(ExactCoordinate.from_json(c) for c in data["coords"]))
 
     def __str__(self) -> str:
@@ -249,17 +249,17 @@ class CircleQuotient:
 
     group: str  # "rotation" | "reflection"
     order: int
-    orientable: bool
 
     @classmethod
     def rotation(cls, k: int = 1) -> "CircleQuotient":
+        (k,) = integers((k,), "rotation order")
         if k < 1:
             raise ValueError("rotation order must be >= 1")
-        return cls("rotation", k, True)
+        return cls("rotation", k)
 
     @classmethod
     def reflection(cls) -> "CircleQuotient":
-        return cls("reflection", 2, False)
+        return cls("reflection", 2)
 
     @property
     def is_reflection(self) -> bool:

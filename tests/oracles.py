@@ -86,7 +86,7 @@ def loop_canonical_turns(weights, turns):
 
 def coordinate_turns(coords):
     """Turns of ExactCoordinates, None for zero."""
-    return tuple(None if c.is_zero else c.root.turns for c in coords)
+    return tuple(None if c.is_zero else Fraction(c.root.num, c.root.order) for c in coords)
 
 
 def _divisors(n):

@@ -100,9 +100,17 @@ def test_theta_data_stored_per_kind():
     assert CircleMap.fold().theta == "trivial"
     assert CircleMap.flat_even().theta == "trivial"
     assert CircleMap.flat_odd().theta == "identity"
-    with pytest.raises(ValueError):
-        CircleMap("flat_odd", CircleMap.flat_odd().domain, CircleMap.flat_odd().codomain,
-                  theta="trivial")
+    rotation = CircleMap.winding(1).domain
+    for m in (CircleMap.winding(3), CircleMap.covering_projection(4),
+              CircleMap.quotient_power(3, 6, 2), CircleMap("power", rotation, rotation, power=2)):
+        assert m.theta == "rotation"
+
+
+def test_fold_and_flat_kinds_refuse_a_power():
+    reflection, rotation = CircleMap.fold().domain, CircleMap.winding(1).domain
+    for kind, codomain in (("fold", rotation), ("flat_even", reflection), ("flat_odd", reflection)):
+        with pytest.raises(ValueError, match="has no power"):
+            CircleMap(kind, reflection, codomain, power=9)
 
 
 def test_classical_winding_count():
@@ -113,6 +121,7 @@ def test_classical_winding_count():
 
 def test_covering_projection_degree_equals_group_order():
     for k in range(2, 7):
+        assert CircleMap.covering_projection(k) == CircleMap.quotient_power(1, 1, k)
         result = circle_degree2(CircleMap.covering_projection(k), 0.3 * 2 * math.pi / k)
         assert result.weighted_count == k
         assert all(p.isotropy_order == 1 for p in result.preimages.points)
@@ -242,7 +251,7 @@ def test_one_pass_matches_the_scalar_root_finder(m, value):
         assert result is expected
         return
     count, mod2, points = expected
-    if m.kind in ("power", "covering"):
+    if m.kind == "power":
         analytic = abs(m.power) * m.codomain.order // m.domain.order
         assert result.weighted_count == analytic
         if count != analytic:

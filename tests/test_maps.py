@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import drawn_maps, image_theta_at, points_on
+from orbidegree.degree import degree
 from orbidegree.errors import NotEquivariantError, WeightMismatchError
 from orbidegree.maps import MonomialMap, compose, theta_at, underlying_image
 from orbidegree.roots import RootOfUnity
@@ -195,3 +197,21 @@ def test_descriptor_round_trip_excludes_d():
     data = h.descriptor()
     assert set(data) == {"q", "r", "e"}
     assert MonomialMap.from_descriptor(data) == h
+
+
+def test_non_integer_exponents_are_refused_not_truncated():
+    plane = WpsOrbifold((1, 1))
+    # int() would make this the map with exponents (2, 2), of degree 2
+    with pytest.raises(NotEquivariantError, match="expected integer exponents"):
+        degree(MonomialMap(plane, plane, (2.7, 2.2)))
+    with pytest.raises(NotEquivariantError, match="expected integer exponents"):
+        MonomialMap(plane, plane, (2.0, 2))
+    f = MonomialMap(plane, plane, tuple(np.array([2, 2], dtype=np.int64)))
+    assert f.exponents == (2, 2) and all(type(e) is int for e in f.exponents)
+
+
+def test_descriptor_values_must_be_integers():
+    with pytest.raises(NotEquivariantError, match="expected integer exponents"):
+        MonomialMap.from_descriptor({"q": [1, 1], "r": [1, 1], "e": [2.5, 2]})
+    with pytest.raises(ValueError, match="expected integer weights"):
+        MonomialMap.from_descriptor({"q": [1, 1], "r": [1, 1.5], "e": [2, 2]})

@@ -68,6 +68,31 @@ def test_wps_construction():
         WpsOrbifold(())
 
 
+def test_non_integer_weights_are_refused_not_truncated():
+    for weights in ((1.5, 2), (1, 2.0), ("1", 2), (None, 1)):
+        with pytest.raises(ValueError, match="expected integer weights"):
+            WpsOrbifold(weights)
+
+
+def test_numpy_integer_weights_are_accepted_as_ints():
+    space = WpsOrbifold(tuple(np.array([1, 3], dtype=np.int64)))
+    assert space == WpsOrbifold((1, 3))
+    assert all(type(w) is int for w in space.weights)
+
+
+def test_json_weights_must_be_integers():
+    with pytest.raises(ValueError, match="expected integer weights"):
+        WpsOrbifold.from_json({"weights": [2.9, 1]})
+    with pytest.raises(ValueError, match="expected integer weights"):
+        WpsPoint.from_json({"weights": [1.0, 1], "coords": [{"zero": True}, {"num": 0, "den": 1}]})
+
+
+def test_rotation_order_must_be_an_integer():
+    with pytest.raises(ValueError, match="expected integer rotation order"):
+        CircleQuotient.rotation(2.5)
+    assert CircleQuotient.rotation(np.int64(3)) == CircleQuotient.rotation(3)
+
+
 def test_point_validation():
     space = WpsOrbifold((1, 3))
     with pytest.raises(ValueError):
