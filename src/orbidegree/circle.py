@@ -30,10 +30,16 @@ and counted with integer weights |G_value| / |G_point|.  A value is solved
 as the targets over it on the codomain covering circle: one per element of
 a rotation group, psi and 2*pi - psi on the reflection, and psi alone at a
 reflection endpoint (isotropy 2).  circle_degrees takes many values of one
-map in that one pass: the grid is evaluated once, each grid step finds the
-targets on its short arc by a sorted search over the targets of all values,
-so a step costs O(log T) rather than O(T), and roots, orbits and weights are
-tallied over (value, root) rows; circle_degree2 is its one-value case.
+map in that one pass, and circle_degree2 is its one-value case.  The grid
+depends only on the map's kind and power, so _grid evaluates it once per
+(kind, power) and keeps the _GRID_CACHE most recently used, each with the
+short arc each grid step sweeps, sorted by its low end: a later call on any
+map of that kind and power, whatever its quotients, evaluates no grid
+while its grid is kept.  Each target, one turn down, as
+given and one turn up, finds the arcs that may hold it by a sorted search
+over those arcs, so a call costs O(T log GRID + pairs) for T targets,
+rather than O(GRID) or O(GRID * T); roots, orbits and weights are then
+tallied over (value, root) rows.
 
 A bracket is narrowed by Illinois regula falsi: secant steps, with the value
 at an end that survived two steps in a row halved.  A secant point within
@@ -60,6 +66,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +78,7 @@ from .errors import (
     NonIntegralWeightError,
     PreconditionViolatedError,
 )
+from .roots import integers
 from .spaces import CircleQuotient
 
 TWO_PI = 2.0 * math.pi
@@ -81,6 +90,7 @@ RESIDUAL_TOL = 1e-6  # largest angle miss accepted at a refined root
 SLOPE_STEP = 1e-6  # half-width of the central difference for derivatives
 DERIVATIVE_THRESHOLD = 1e-8  # a preimage with |derivative| at or below it is critical
 ANGLE_CLUSTER = 1e-8  # roots and folded angles closer than this coincide
+_GRID_CACHE = 32  # grids _grid keeps, one per (kind, power), the least recently used dropped
 
 _KINDS = ("fold", "flat_even", "flat_odd", "power")
 _GRID_ANGLES = np.linspace(0.0, TWO_PI, GRID + 1)
@@ -108,6 +118,8 @@ class CircleMap:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        (power,) = integers((self.power,), "power")
+        object.__setattr__(self, "power", power)
         if self.kind != "power":
             if not self.domain.is_reflection:
                 raise ValueError(f"{self.kind} requires the reflection quotient as domain")
@@ -393,7 +405,41 @@ def _targets(m: CircleMap, psi: float, isotropy: int) -> list[float]:
     return [(psi % period) + j * period for j in range(m.codomain.order)]
 
 
-def _crossings(image: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
+class _Grid(NamedTuple):
+    """A map's image on the grid and the short arc of each grid step, all read-only."""
+
+    image: np.ndarray  # circle_eval at _GRID_ANGLES, with image[-1] = image[0]
+    low: np.ndarray  # each step's arc from low to high, the arcs sorted by low
+    high: np.ndarray
+    step: np.ndarray  # the grid step of each arc, in 16 bits: GRID fits
+    width: float  # the widest arc: high - low <= width for every arc
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _grid(kind: str, power: int) -> _Grid:
+    """The grid of every map of this kind and power, evaluated on the first call.
+
+    The image reads nothing else of a map, so covering_projection(3) and (4)
+    share one grid.  A step's short arc runs from image[i] to image[i+1] the
+    short way round: a step that turns by more than pi crosses 0 = 2*pi, and
+    its arc runs from the larger end up to the smaller one plus 2*pi.
+    """
+    domain = CircleQuotient.rotation(1) if kind == "power" else CircleQuotient.reflection()
+    image = circle_eval(CircleMap(kind, domain, domain, power), _GRID_ANGLES)
+    image[-1] = image[0]  # 2*pi is 0 again; evaluated apart, they can round apart
+    low = np.minimum(image[:-1], image[1:])
+    high = np.maximum(image[:-1], image[1:])
+    across = (high - low > math.pi).nonzero()[0]  # steps across 0 = 2*pi: the arc wraps
+    low[across], high[across] = high[across], low[across] + TWO_PI
+    width = float((high - low).max())
+    step = low.argsort(kind="stable").astype(np.int16)
+    grid = _Grid(image, low[step], high[step], step, width)
+    for array in grid[:4]:
+        array.flags.writeable = False
+    return grid
+
+
+def _crossings(grid: _Grid, targets: np.ndarray) -> tuple[np.ndarray, ...]:
     """Target and step indices of the grid steps that start on a target, and of
     the brackets: steps whose wrapped difference to a target changes sign.
     Both come sorted by target, then step.
@@ -402,33 +448,31 @@ def _crossings(image: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]
     refusal keeps at pi/2 or less: a step over a root then changes the
     wrapped difference by at most pi/2, a step across the wrap by at least
     3*pi/2, and no step hides a whole turn.  So a step can only start on or
-    cross the targets of its short arc, from image[i] to image[i+1] the short
-    way round.  Widened by ANGLE_CLUSTER against rounding, the arcs look up
-    their targets in the sorted targets, repeated one turn down and up: one
-    searchsorted call finds the first target of every arc, a second the end
-    of those arcs that hold one.  Only these (target, step) pairs get the
-    exact test: O(GRID log T + pairs) time and memory, never O(GRID * T).
+    cross the targets of its short arc.  Widened by ANGLE_CLUSTER against
+    rounding, an arc [low, high] holds a target t, repeated one turn down
+    and up as u, when low <= u + ANGLE_CLUSTER and high >= u - ANGLE_CLUSTER.
+    Each u finds its arcs in the arcs sorted by low: a searchsorted gives
+    those with low <= u + ANGLE_CLUSTER, and since high - low <= width, no
+    arc with high >= u - ANGLE_CLUSTER has low below
+    u - ANGLE_CLUSTER - width - ANGLE_CLUSTER, where a second searchsorted
+    starts them; the last ANGLE_CLUSTER covers the rounding of that bound.
+    The exact high test then keeps the arcs that hold u.  These are the two
+    float comparisons of the definition, so the (target, step) pairs are
+    exactly those of a search over every arc, and only they get the exact
+    test: O(T log GRID + pairs) time and memory, never O(GRID * T).
     """
-    low = np.minimum(image[:-1], image[1:])
-    high = np.maximum(image[:-1], image[1:])
-    across = (high - low > math.pi).nonzero()[0]  # steps across 0 = 2*pi: the arc wraps
-    low[across], high[across] = high[across], low[across] + TWO_PI
-    ring = targets.argsort(kind="stable")
-    ordered = targets[ring]
-    # one turn down, as given, one turn up, and an end past every arc
-    turns = np.concatenate([ordered - TWO_PI, ordered, ordered + TWO_PI, [math.inf]])
-    first = (turns + ANGLE_CLUSTER).searchsorted(low, side="left")  # first target past low
-    turns -= ANGLE_CLUSTER  # now the low end of each target's widened span
-    step = (turns[first] <= high).nonzero()[0]  # steps with a target
-    first = first[step]
-    counts = turns.searchsorted(high[step], side="right") - first
-    # pair j of an arc is its target first + j
-    step = step.repeat(counts)
-    slot = np.arange(len(step)) + (first - counts.cumsum() + counts).repeat(counts)
-    target = ring[slot % len(targets)]
+    turns = np.concatenate([targets - TWO_PI, targets, targets + TWO_PI])
+    below = turns - ANGLE_CLUSTER  # the low end of each target's widened span
+    start = grid.low.searchsorted(below - grid.width - ANGLE_CLUSTER, side="left")
+    counts = grid.low.searchsorted(turns + ANGLE_CLUSTER, side="right") - start
+    # pair j of turn u is its arc start[u] + j
+    turn = np.arange(len(turns)).repeat(counts)
+    arc = np.arange(len(turn)) + (start - counts.cumsum() + counts).repeat(counts)
+    held = grid.high[arc] >= below[turn]
+    target, step = turn[held] % len(targets), grid.step[arc[held]]
     order = np.lexsort((step, target))
     target, step = target[order], step[order]
-    diff, diff_next = _wrap(image[np.add.outer((0, 1), step)] - targets[target])
+    diff, diff_next = _wrap(grid.image[np.add.outer((0, 1), step)] - targets[target])
     hit = diff == 0.0
     # sign flips across the wrap are not roots
     crossed = (diff * diff_next < 0) & (np.abs(diff_next - diff) < math.pi)
@@ -469,11 +513,12 @@ class CircleDegreeResult:
 
 
 def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
-    """circle_degree2(m, value) for each of ``values``, from one evaluation of the grid.
+    """circle_degree2(m, value) for each of ``values``, in one pass over the map's grid.
 
-    The brackets of all values are found in one sparse search and refined
-    one by one with the scalar _refine, or as numpy lanes when there are at
-    least LANE_BRACKETS of them, with the same roots bit for bit; the slopes
+    The grid is _grid's, evaluated once per kind and power.  The brackets of
+    all values are found in one sparse search and refined one by one with
+    the scalar _refine, or as numpy lanes when there are at least
+    LANE_BRACKETS of them, with the same roots bit for bit; the slopes
     of all roots come from one evaluation, and roots, orbits and weights are
     tallied over (value, root) rows.  Each result is the one a call for its
     value alone returns, bit for bit.  The error raised is the one the first
@@ -497,11 +542,11 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
             f"{m.kind} map turns at rate {rate}; a {GRID}-point grid resolves rates "
             f"up to {GRID // 4}"
         )
-    grid = _GRID_ANGLES
-    image = circle_eval(m, grid)
-    image[-1] = image[0]  # 2*pi is 0 again; evaluated apart, they can round apart
-    hit_target, hit_step, bracket_target, bracket_step = _crossings(image, targets)
+    hit_target, hit_step, bracket_target, bracket_step = _crossings(
+        _grid(m.kind, m.power), targets
+    )
 
+    grid = _GRID_ANGLES
     brackets = (targets[bracket_target], grid[bracket_step], grid[bracket_step + 1])
     if len(bracket_step) >= LANE_BRACKETS:
         refined, failure = _refine_lanes(m, *brackets)

@@ -36,6 +36,17 @@ from orbidegree.errors import (
 )
 
 
+@pytest.fixture
+def fresh_grids():
+    """An empty grid cache before and after the test, for tests that patch
+    circle._image or circle.circle_eval: a grid evaluated through the patch is
+    never served to a later test, and a real grid cached by an earlier test
+    never stands in for the patched image."""
+    circle._grid.cache_clear()
+    yield
+    circle._grid.cache_clear()
+
+
 def test_circle_eval_fold_by_substitution():
     fold = CircleMap.fold()
     # (0, 1): x = 0, y^2 = 1 -> angle pi/2
@@ -111,6 +122,31 @@ def test_fold_and_flat_kinds_refuse_a_power():
     for kind, codomain in (("fold", rotation), ("flat_even", reflection), ("flat_odd", reflection)):
         with pytest.raises(ValueError, match="has no power"):
             CircleMap(kind, reflection, codomain, power=9)
+
+
+def test_a_power_that_is_not_an_integer_is_refused():
+    # 2.5 * 2 % 1 == 0 passed the homomorphism check, and the image jumped at
+    # the seam: circle_degree2 at 0.3 stalled instead of refusing the map
+    for power in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="expected integer power"):
+            CircleMap.quotient_power(power, 1, 2)
+    m = CircleMap.winding(np.int64(3))
+    assert type(m.power) is int and m == CircleMap.winding(3)
+
+
+def test_the_cached_grid_refuses_writes():
+    grid = circle._grid("power", 7)
+    for array in (grid.image, grid.low, grid.high, grid.step):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@pytest.mark.usefixtures("fresh_grids")
+def test_the_grid_cache_stays_within_its_bound():
+    for k in range(1, circle._GRID_CACHE + 9):
+        assert circle_degree2(CircleMap.winding(k), 0.3).weighted_count == k
+        assert circle._grid.cache_info().currsize <= circle._GRID_CACHE
+    assert circle._grid.cache_info().currsize == circle._GRID_CACHE
 
 
 def test_classical_winding_count():
@@ -275,8 +311,8 @@ def _brackets(m, *values):
     found = []
     crossings = circle._crossings
 
-    def record(image, targets):
-        crossed = crossings(image, targets)
+    def record(grid, targets):
+        crossed = crossings(grid, targets)
         found.append((targets, crossed))
         return crossed
 
@@ -360,6 +396,7 @@ def test_refinement_agrees_with_bisection_in_at_most_twice_its_evaluations(m, va
 
 # at 1.0, 35 of the secant steps land where the difference rounds to exactly 0
 @pytest.mark.parametrize("value", [0.3, 1.0])
+@pytest.mark.usefixtures("fresh_grids")
 def test_winding_roots_take_at_most_six_evaluations(value):
     m = CircleMap.winding(1000)
     result, calls = _evaluations(circle_degree2, m, value)  # its 1000 brackets run as lanes
@@ -385,6 +422,7 @@ def test_winding_roots_take_at_most_six_evaluations(value):
     (CircleMap.flat_even(), math.pi - 1e-4),
     (CircleMap.fold(), 1e-9),
 ])
+@pytest.mark.usefixtures("fresh_grids")
 def test_slow_refinements_cost_no_more_than_bisection(m, value):
     brackets = _brackets(m, value)
     assert brackets
@@ -445,6 +483,7 @@ def _zero_stretch_image(target, root):
     return image
 
 
+@pytest.mark.usefixtures("fresh_grids")
 def test_a_root_at_a_jump_costs_at_most_twice_bisection():
     # each secant step from the small side only doubles its length, and after
     # crossing the root the next round starts again from the jump
@@ -458,6 +497,7 @@ def test_a_root_at_a_jump_costs_at_most_twice_bisection():
     assert abs(new - root) < 1e-9 and abs(old - root) < 1e-9
 
 
+@pytest.mark.usefixtures("fresh_grids")
 def test_a_wide_zero_stretch_under_a_steep_secant_is_found_by_the_probes():
     # slope 1000 on both sides of a stretch 2e-11 wide where the difference is
     # exactly 0: the secant slope calls the stretch narrow, the probes do not
@@ -546,6 +586,7 @@ def _synthetic_brackets(target, root, width):
 
 
 @pytest.mark.parametrize("make_image", [_jump_image, _zero_stretch_image])
+@pytest.mark.usefixtures("fresh_grids")
 def test_lanes_refine_synthetic_images_as_the_scalar_refinement(make_image):
     target = root = 1.0
     brackets = _synthetic_brackets(target, root, TWO_PI / GRID)
@@ -560,6 +601,7 @@ def test_lanes_refine_synthetic_images_as_the_scalar_refinement(make_image):
     assert lane_fallbacks > 0
 
 
+@pytest.mark.usefixtures("fresh_grids")
 def test_a_refused_bisection_fallback_fails_only_its_lane():
     target = root = 1.0
     width = TWO_PI / GRID
@@ -677,18 +719,35 @@ def _grid_targets(m):
     )
 
 
+def _with_grid_targets(m):
+    return st.tuples(st.just(m), st.lists(_grid_targets(m), min_size=1, max_size=40))
+
+
+_SEAM_TARGETS = [0.0, math.pi, 1e-15, TWO_PI - 1e-15]
+_FLAT_PAIR_VALUES = np.linspace(0.1, math.pi - 0.1, 50).tolist()
+
+
 @settings(max_examples=80, deadline=None)
-@given(circle_maps, st.data())
-@example(CircleMap.winding(-1024), None)
-def test_sparse_search_finds_the_dense_search_hits_and_brackets(m, data):
-    targets = [0.0, math.pi, 1e-15, TWO_PI - 1e-15] if data is None else data.draw(
-        st.lists(_grid_targets(m), min_size=1, max_size=40)
+@given(circle_maps.flatmap(_with_grid_targets))
+# the widest arcs: each grid step turns by pi/2
+@example((CircleMap.winding(-1024), _SEAM_TARGETS))
+@example((CircleMap.winding(1024), [*_SEAM_TARGETS, 0.3, 2.1]))
+# a 50-value flat pair: 100 targets, psi and 2*pi - psi for each value
+@example((CircleMap.flat_even(), [t for v in _FLAT_PAIR_VALUES for t in (v, TWO_PI - v)]))
+# targets equal to grid image values: steps that start exactly on their target
+@example((CircleMap.fold(), circle_eval(CircleMap.fold(), circle._GRID_ANGLES)[
+    [0, 1, 1024, 2047, 2048, 3072, 4095]].tolist()))
+@example((CircleMap.winding(7), circle_eval(CircleMap.winding(7), circle._GRID_ANGLES)[
+    [0, 5, 585, 586, 4096]].tolist()))
+def test_sparse_search_finds_the_dense_search_hits_and_brackets(case):
+    m, targets = case
+    grid = circle._grid(m.kind, m.power)
+    hit_target, hit_step, bracket_target, bracket_step = circle._crossings(
+        grid, np.array(targets)
     )
     image = circle_eval(m, np.linspace(0.0, TWO_PI, GRID + 1))
     image[-1] = image[0]
-    hit_target, hit_step, bracket_target, bracket_step = circle._crossings(
-        image, np.array(targets)
-    )
+    assert image.tobytes() == grid.image.tobytes()
     hits, brackets = dense_brackets(image, targets)
     assert sorted(zip(hit_target.tolist(), hit_step.tolist())) == sorted(hits)
     # brackets in the order they are refined: by target, then step
@@ -781,6 +840,7 @@ def _jump_at(image, target):
 
 
 @pytest.mark.parametrize("failing, critical", [(20, None), (30, 10), (10, 30), (0, 39)])
+@pytest.mark.usefixtures("fresh_grids")
 def test_a_lane_failure_is_raised_in_value_order(failing, critical):
     # 40 fold values: 80 brackets, refined as lanes; the refinement of value
     # `failing` crosses a jump, and value `critical` is the critical value 0
@@ -831,12 +891,20 @@ def _grid_evaluations(func, *args):
     return result, calls
 
 
+@pytest.mark.usefixtures("fresh_grids")
 @pytest.mark.parametrize("count", [1, 2, 50])
-def test_the_grid_is_evaluated_once_per_call(count):
+def test_the_grid_is_evaluated_once_per_kind_and_power(count):
     values = np.linspace(0.1, math.pi - 0.1, count).tolist()
     for m in (CircleMap.flat_odd(), CircleMap.winding(7), CircleMap.covering_projection(3)):
         results, calls = _grid_evaluations(circle_degrees, m, values)
         assert len(results) == count and calls == 1
+    # later calls, on new maps of the same kind and power whatever their
+    # quotients, evaluate no grid
+    for m in (CircleMap.flat_odd(), CircleMap.winding(7), CircleMap.quotient_power(7, 7, 1),
+              CircleMap.covering_projection(3), CircleMap.covering_projection(4)):
+        results, calls = _grid_evaluations(circle_degrees, m, values)
+        assert len(results) == count and calls == 0
+    assert _grid_evaluations(covering_degree, 1, 7, 1) == (7, 0)
 
 
 # within ENDPOINT_TOL of 0 a value is the reflection's endpoint; flat_odd used
@@ -926,6 +994,7 @@ def test_flat_bump_equals_the_masked_form(y):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("m", [CircleMap.winding(3), CircleMap.fold(), CircleMap.flat_even(),
                                CircleMap.flat_odd()], ids=lambda m: m.kind)
+@pytest.mark.usefixtures("fresh_grids")
 def test_non_finite_values_are_refused_before_the_grid(m, bad):
     with mock.patch.object(circle, "circle_eval", side_effect=AssertionError("map evaluated")):
         for values in ([bad], [0.3, bad, 1.0], np.array([0.3, bad])):
