@@ -34,12 +34,14 @@ map in that one pass, and circle_degree2 is its one-value case.  The grid
 depends only on the map's kind and power, so _grid evaluates it once per
 (kind, power) and keeps the _GRID_CACHE most recently used, each with the
 short arc each grid step sweeps, sorted by its low end: a later call on any
-map of that kind and power, whatever its quotients, evaluates no grid
-while its grid is kept.  Each target, one turn down, as
-given and one turn up, finds the arcs that may hold it by a sorted search
-over those arcs, so a call costs O(T log GRID + pairs) for T targets,
-rather than O(GRID) or O(GRID * T); roots, orbits and weights are then
-tallied over (value, root) rows.
+map of that kind and power, whatever its quotients, evaluates no grid while
+its grid is kept.  Each target, one turn down, as given and one turn up,
+finds the arcs that may hold it by a sorted search over those arcs, so a
+call costs O(T log GRID + pairs) for T targets, rather than O(GRID) or
+O(GRID * T); roots, orbits and weights are then tallied over (value, root)
+rows.  A result keeps its points as read-only angle, sign and isotropy
+columns, slices of one array per column shared by the call's values;
+CirclePreimageSet.points builds CirclePreimage records from them on request.
 
 A bracket is narrowed by Illinois regula falsi: secant steps, with the value
 at an end that survived two steps in a row halved.  A secant point within
@@ -486,30 +488,30 @@ class CirclePreimage:
     isotropy_order: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirclePreimageSet:
-    points: tuple[CirclePreimage, ...]
+    """The points over one value in increasing angle, one row each of read-only columns."""
+
+    angle: np.ndarray  # float64, as CirclePreimage.angle
+    sign: np.ndarray  # derivative_sign
+    isotropy: np.ndarray  # isotropy_order
     fundamental_domain: str
 
+    @property
+    def points(self) -> tuple[CirclePreimage, ...]:
+        """One CirclePreimage per row, built anew on each access."""
+        columns = (self.angle, self.sign, self.isotropy)
+        return tuple(map(CirclePreimage, *(column.tolist() for column in columns)))
+
     def angles(self) -> list[float]:
-        return [p.angle for p in self.points]
+        return self.angle.tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleDegreeResult:
     weighted_count: int
     mod2: int
     preimages: CirclePreimageSet
-
-    def to_json(self) -> dict:
-        return {
-            "weighted_count": self.weighted_count,
-            "mod2": self.mod2,
-            "preimages": [
-                {"angle": p.angle, "sign": p.derivative_sign, "isotropy": p.isotropy_order}
-                for p in self.preimages.points
-            ],
-        }
 
 
 def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
@@ -521,8 +523,10 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     LANE_BRACKETS of them, with the same roots bit for bit; the slopes
     of all roots come from one evaluation, and roots, orbits and weights are
     tallied over (value, root) rows.  Each result is the one a call for its
-    value alone returns, bit for bit.  The error raised is the one the first
-    failing value raises in ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
+    value alone returns, bit for bit; its points are read-only slices of one
+    array per column, and no CirclePreimage is built until ``points`` is read.
+    The error raised is the one the first failing value raises in
+    ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
     no angle; it is refused with PreconditionViolatedError before any work.
     """
     for value in values:
@@ -600,15 +604,12 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     total, remainder = np.divmod(numerator, scale)
 
     bounds = point_owner.searchsorted(np.arange(n + 1)).tolist()
-    angles, signs = angles.tolist(), np.where(slopes[leaders] > 0, 1, -1).tolist()
-    isotropy, scale, numerator, total = (
-        isotropy.tolist(), scale.tolist(), numerator.tolist(), total.tolist()
-    )
-    domain_note = (
-        "[0, pi], endpoints carry isotropy 2"
-        if m.domain.is_reflection
-        else f"[0, 2*pi/{m.domain.order})"
-    )
+    columns = (angles, np.where(slopes[leaders] > 0, 1, -1), isotropy)
+    for column in columns:
+        column.flags.writeable = False
+    scale, numerator, total = scale.tolist(), numerator.tolist(), total.tolist()
+    domain_note = ("[0, pi], endpoints carry isotropy 2" if m.domain.is_reflection
+                   else f"[0, 2*pi/{m.domain.order})")
     results = []
     for v in range(failed):
         if v in critical_of:
@@ -620,14 +621,11 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
             raise NonIntegralWeightError(
                 f"weighted count {numerator[v]}/{scale[v]} is not an integer"
             )
-        points = tuple(
-            CirclePreimage(angles[j], signs[j], isotropy[j])
-            for j in range(bounds[v], bounds[v + 1])
-        )
+        rows = slice(bounds[v], bounds[v + 1])
         results.append(CircleDegreeResult(
             weighted_count=total[v],
             mod2=total[v] % 2,
-            preimages=CirclePreimageSet(points, domain_note),
+            preimages=CirclePreimageSet(*(column[rows] for column in columns), domain_note),
         ))
     if failure is not None:
         raise failure
@@ -660,7 +658,7 @@ def covering_degree(
     if value is None:
         value = 0.375 * m.codomain.period  # generic: every value of a power map is regular
     result = circle_degree2(m, value)
-    if any(p.derivative_sign != 1 for p in result.preimages.points):
+    if (result.preimages.sign != 1).any():
         raise PreconditionViolatedError(
             f"theta -> {power}*theta reverses orientation; covering_degree needs power >= 1"
         )

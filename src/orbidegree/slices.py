@@ -139,10 +139,16 @@ class LiftEvaluation:
         }
 
 
-def _as_sphere(x) -> np.ndarray:
+def _as_sphere(x, space: WpsOrbifold) -> np.ndarray:
+    """Unit-norm representative of x: a WpsPoint of ``space``, or finite coordinates."""
     if isinstance(x, WpsPoint):
+        if x.space != space:
+            raise ValueError(f"point lives in {x.space}, not in the source {space}")
         return sphere_point(x)
-    return _normalize(np.asarray(x, dtype=complex))
+    z = np.asarray(x, dtype=complex)
+    if not np.isfinite(z).all():
+        raise PreconditionViolatedError(f"point {z} is not finite")
+    return _normalize(z)
 
 
 def _corrected(f: MonomialMap, c: np.ndarray, w: np.ndarray):
@@ -182,10 +188,11 @@ def slice_lift(f: MonomialMap, x, y) -> LiftEvaluation:
 
     Finds the unique phase phi with e^{i phi} . f(y) orthogonal to the orbit
     direction at f(x), by Newton iteration on one real unknown starting at 0,
-    down to RESIDUAL_TOL; y must lie within CHART_RADIUS of x.
+    down to RESIDUAL_TOL; y must lie within CHART_RADIUS of x.  Both are
+    points of f.source: WpsPoints of it or finite coordinate vectors.
     """
-    x = _as_sphere(x)
-    y = _as_sphere(y)
+    x = _as_sphere(x, f.source)
+    y = _as_sphere(y, f.source)
     if np.linalg.norm(y - x) > CHART_RADIUS:
         raise PreconditionViolatedError(
             f"|y - x| = {np.linalg.norm(y - x):.3g} exceeds the chart radius {CHART_RADIUS}"
@@ -220,9 +227,10 @@ def numeric_jacobian(f: MonomialMap, x) -> JacobianCertificate:
 
     The 2*dim points x +- FD_STEP * frame_k are lifted together.  Returns the
     determinant sign together with the smallest singular value; raises
-    IrregularPointError when the latter is at or below SV_THRESHOLD.
+    IrregularPointError when the latter is at or below SV_THRESHOLD.  x is a
+    point of f.source, as in slice_lift.
     """
-    x = _as_sphere(x)
+    x = _as_sphere(x, f.source)
     src = slice_chart(x, f.source.weights)
     c = evaluate_upstairs(f, x)
     tgt = slice_chart(c, f.target.weights)

@@ -383,8 +383,8 @@ def scalar_fold(quotient, theta):
 
 def loop_slice_lift(f, x, y):
     """slice_lift with the scalar Newton closure; same checks, same arithmetic."""
-    x = slices._as_sphere(x)
-    y = slices._as_sphere(y)
+    x = slices._as_sphere(x, f.source)
+    y = slices._as_sphere(y, f.source)
     if np.linalg.norm(y - x) > slices.CHART_RADIUS:
         raise PreconditionViolatedError("y lies outside the chart radius")
     tangent_src = orbit_direction(x, f.source.weights)
@@ -423,7 +423,7 @@ def loop_slice_lift(f, x, y):
 
 def loop_numeric_jacobian(f, x):
     """(sign, smallest singular value) from one loop_slice_lift per perturbed point."""
-    x = slices._as_sphere(x)
+    x = slices._as_sphere(x, f.source)
     src = slice_chart(x, f.source.weights)
     c = evaluate_upstairs(f, x)
     tgt = slice_chart(c, f.target.weights)

@@ -21,6 +21,7 @@ from orbidegree.circle import (
     SLOPE_STEP,
     TWO_PI,
     CircleMap,
+    CirclePreimage,
     circle_degree2,
     circle_degrees,
     circle_eval,
@@ -786,6 +787,48 @@ def _fields(outcome):
 def test_circle_degrees_equals_a_loop_of_circle_degree2(m, values):
     # tuples compare angles with ==, so every angle must be equal bit for bit
     assert _fields(_batch_outcome(m, values)) == _fields(_loop_outcome(m, values))
+
+
+def _refuse_point_records(monkeypatch):
+    def refuse(self, *fields):
+        raise AssertionError("a CirclePreimage was built")
+
+    monkeypatch.setattr(CirclePreimage, "__init__", refuse)
+
+
+def test_results_build_no_point_records_until_points_is_read(monkeypatch):
+    winding, values = CircleMap.winding(7), [0.4, 2.0, 5.5]
+    expected = [r.preimages.angles() for r in circle_degrees(winding, values)]
+    _refuse_point_records(monkeypatch)
+    results = circle_degrees(winding, values)
+    assert [r.weighted_count for r in results] == [7, 7, 7]
+    assert [r.preimages.angles() for r in results] == expected
+    assert circle_degree2(CircleMap.fold(), math.pi / 2 + 0.3).weighted_count == 1
+    assert covering_degree(2, 4, 1) == 2
+    with pytest.raises(AssertionError, match="CirclePreimage was built"):
+        results[0].preimages.points
+
+
+def test_point_columns_refuse_writes():
+    for result in circle_degrees(CircleMap.flat_odd(), [0.7, 1.9]):
+        preimages = result.preimages
+        for column in (preimages.angle, preimages.sign, preimages.isotropy):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+
+
+def test_points_are_built_from_the_column_rows_on_each_read():
+    preimages = circle_degree2(CircleMap.winding(7), 0.4).preimages
+    first, second = preimages.points, preimages.points
+    assert first == second and first is not second
+    rows = zip(preimages.angle.tolist(), preimages.sign.tolist(), preimages.isotropy.tolist())
+    assert [(p.angle, p.derivative_sign, p.isotropy_order) for p in first] == list(rows)
+    assert {(type(p.angle), type(p.derivative_sign), type(p.isotropy_order)) for p in first} == {
+        (float, int, int)
+    }
+    assert preimages.angles() == [p.angle for p in first]
 
 
 def test_circle_degrees_raises_what_the_first_failing_value_raises():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,3 +296,34 @@ def test_numeric_jacobian_builds_two_charts_and_no_lift(monkeypatch):
     cert = numeric_jacobian(f, sphere_point(f.source.all_ones()))
     assert cert.sign == 1
     assert charts == [f.source.weights, f.target.weights]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_slice_engine_refuses_a_point_that_is_not_finite(where, bad):
+    f = MonomialMap.from_projective((1, 2, 3, 4))
+    x = sphere_point(f.source.all_ones())
+    y = slice_chart(x, f.source.weights).point(np.full(6, 1e-3))
+    point = {"x": x, "y": y}
+    point[where] = point[where].copy()
+    point[where][1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolatedError, match="not finite"):
+            slice_lift(f, point["x"], point["y"])
+        with pytest.raises(PreconditionViolatedError, match="not finite"):
+            numeric_jacobian(f, point[where])
+
+
+def test_slice_engine_refuses_a_point_of_another_space():
+    f = MonomialMap.to_projective((2, 3, 5))
+    x = f.source.all_ones()
+    for other in (f.target.all_ones(), WpsOrbifold((1, 2, 7)).all_ones()):
+        with pytest.raises(ValueError, match="not in the source"):
+            numeric_jacobian(f, other)
+        with pytest.raises(ValueError, match="not in the source"):
+            slice_lift(f, other, x)
+        with pytest.raises(ValueError, match="not in the source"):
+            slice_lift(f, x, other)
+    assert numeric_jacobian(f, x).sign == 1
+    assert slice_lift(f, x, x).residual == 0.0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import drawn_maps, strata_regular_support_values
 from orbidegree import verify
-from orbidegree.circle import CircleMap, covering_degree
+from orbidegree.circle import CircleMap, CirclePreimage, covering_degree
 from orbidegree.errors import EnumerationCapExceededError
 from orbidegree.maps import MonomialMap
 from orbidegree.verify import (
@@ -175,3 +175,13 @@ def test_summary_mentions_failures():
     reports = run_suite("covering", seed=0)
     text = summarize(reports)
     assert "PASS" in text and "0 failing" in text
+
+
+def test_verify_all_builds_no_circle_point_records(monkeypatch):
+    expected = reports_to_json(run_all(seed=1))
+
+    def refuse(self, *fields):
+        raise AssertionError("a CirclePreimage was built")
+
+    monkeypatch.setattr(CirclePreimage, "__init__", refuse)
+    assert reports_to_json(run_all(seed=1)) == expected
