@@ -23,21 +23,22 @@ result and a fold or flat probe runs numpy's scalar ufuncs, or on arrays of
 one angle per bracket, as below.
 
 Degrees are computed numerically in one pass with fixed constants: the
-covering circle is sampled on a GRID-point grid, sign changes of the wrapped
-angular difference bracket the roots, each bracket is narrowed below
-REFINE_TOL, and the roots are folded into the quotient's fundamental domain
-and counted with integer weights |G_value| / |G_point|.  A value is solved
-as the targets over it on the codomain covering circle: one per element of
-a rotation group, psi and 2*pi - psi on the reflection, and psi alone at a
-reflection endpoint (isotropy 2).  circle_degrees takes many values of one
-map in that one pass, and circle_degree2 is its one-value case.  The grid
-depends only on the map's kind and power, so _grid evaluates it once per
-(kind, power) and keeps the _GRID_CACHE most recently used, each with the
-short arc each grid step sweeps, sorted by its low end: a later call on any
-map of that kind and power, whatever its quotients, evaluates no grid while
-its grid is kept.  Each target, one turn down, as given and one turn up,
-finds the arcs that may hold it by a sorted search over those arcs, so a
-call costs O(T log GRID + pairs) for T targets, rather than O(GRID) or
+covering circle is sampled on a GRID-point grid, the grid steps that start
+on a target or change the sign of the wrapped angular difference to it
+bracket the roots, each bracket is narrowed to one root below REFINE_TOL,
+and the roots are folded into the quotient's fundamental domain, grouped
+into orbits and counted with integer weights |G_value| / |G_point|.  A value
+is solved as the targets over it on the codomain covering circle: one per
+element of a rotation group, psi and 2*pi - psi on the reflection, and psi
+alone at a reflection endpoint (isotropy 2).  circle_degrees takes many
+values of one map in that one pass, and circle_degree2 is its one-value
+case.  The grid depends only on the map's kind and power, so _grid evaluates
+it once per (kind, power) and keeps the _GRID_CACHE most recently used, each
+with the short arc each grid step sweeps, sorted by its low end: a later
+call on any map of that kind and power, whatever its quotients, evaluates no
+grid while its grid is kept.  Each target, one turn down, as given and one
+turn up, finds the arcs that may hold it by a sorted search over those arcs,
+so a call costs O(T log GRID + pairs) for T targets, rather than O(GRID) or
 O(GRID * T); roots, orbits and weights are then tallied over (value, root)
 rows.  A result keeps its points as read-only angle, sign and isotropy
 columns, slices of one array per column shared by the call's values;
@@ -51,12 +52,15 @@ bracket.  Bisection takes over when the end values do not differ in sign and
 once a bracket has used as many secant steps as bisection would need.  Near
 a critical value, where the difference rounds to exactly 0 on a stretch
 around the root, the point of it that bisection picks is returned.  A
-winding root takes 5 evaluations of the map, a fold or flat root about 8;
-bisection alone took 33.  A call with at least LANE_BRACKETS brackets
-narrows them together as numpy lanes, one per bracket, that repeat this
-arithmetic step for step and so return the same roots bit for bit; with
-fewer, numpy's fixed cost per operation makes the scalar loop the faster
-(the 7 brackets of winding(7): about 30 us scalar, 170 us as lanes).
+winding root takes 5 evaluations of the map, a fold or flat root about 8.
+_refine, on Python floats, is the one definition of this rule.  A call with
+at least LANE_BRACKETS brackets first narrows them together as numpy lanes,
+one per bracket, that repeat its arithmetic step for step in the common
+case: a lane that lands on a zero stretch wider than REFINE_TOL/2, or
+closes with a residual past RESIDUAL_TOL, is left to _refine, which redoes
+its steps and returns the same root or raises.  With fewer brackets,
+numpy's fixed cost per operation makes _refine alone the faster (the 7
+brackets of winding(7): about 30 us scalar, 170 us as lanes).
 
 A map whose turning rate the grid cannot resolve (4 * rate > GRID, i.e. a
 grid step may turn by more than pi/2) is refused with NoConvergenceError
@@ -91,7 +95,7 @@ LANE_BRACKETS = 64  # a call with this many brackets refines them as numpy lanes
 RESIDUAL_TOL = 1e-6  # largest angle miss accepted at a refined root
 SLOPE_STEP = 1e-6  # half-width of the central difference for derivatives
 DERIVATIVE_THRESHOLD = 1e-8  # a preimage with |derivative| at or below it is critical
-ANGLE_CLUSTER = 1e-8  # roots and folded angles closer than this coincide
+ANGLE_CLUSTER = 1e-8  # folded roots closer than this are one orbit
 _GRID_CACHE = 32  # grids _grid keeps, one per (kind, power), the least recently used dropped
 
 _KINDS = ("fold", "flat_even", "flat_odd", "power")
@@ -228,7 +232,10 @@ def _refine(m: CircleMap, target: float, lo: float, hi: float) -> float:
     REFINE_TOL/2 returns the point of it that bisection of [lo, hi] returns,
     evaluating only bisection's midpoints inside the last bracket.
     """
-    g = _difference(m, target)
+
+    def g(theta: float) -> float:  # the wrapped angle from target to the image, as a float
+        return float(_wrap(_image(m, theta) - target))
+
     f_lo = g(lo)
     if f_lo == 0.0:
         return lo
@@ -286,53 +293,52 @@ def _bisection_point(g, lo: float, hi: float, f_lo: float, a: float, b: float) -
 
 def _checked_root(g, theta: float) -> float:
     if abs(g(theta)) > RESIDUAL_TOL:
-        raise _stalled(theta)
+        raise NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
     return theta % TWO_PI
 
 
-def _stalled(theta: float) -> NoConvergenceError:
-    return NoConvergenceError(f"root refinement stalled near theta={theta:.6f}")
-
-
-def _difference(m: CircleMap, target: float):
-    """The wrapped angle from ``target`` to the image of a Python float, as a float."""
-    return lambda theta: float(_wrap(_image(m, theta) - target))
-
-
-def _refine_each(m: CircleMap, targets, los, his) -> tuple[list[float], NoConvergenceError | None]:
-    """_refine of each bracket in turn: the roots up to the first bracket whose
-    refinement raises, and that error (None if none does)."""
-    refined = []
-    for target, lo, hi in zip(targets, los, his):
-        try:
-            refined.append(_refine(m, target, lo, hi))
-        except NoConvergenceError as exc:
-            return refined, exc
-    return refined, None
-
-
-def _refine_lanes(
+def _refine_each(
     m: CircleMap, target: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, NoConvergenceError | None]:
-    """_refine_each over numpy lanes, one per bracket: the same roots and error, bit for bit.
+    """The root of each bracket up to the first whose refinement raises, and that error.
+
+    A call with at least LANE_BRACKETS brackets narrows them as lanes first;
+    _refine then finishes, in bracket order, every bracket the lanes leave,
+    and every bracket of a smaller call.
+    """
+    if len(target) >= LANE_BRACKETS:
+        roots = _refine_lanes(m, target, lo, hi)
+    else:
+        roots = np.full(len(target), math.nan)
+    for i in np.isnan(roots).nonzero()[0].tolist():
+        try:
+            roots[i] = _refine(m, float(target[i]), float(lo[i]), float(hi[i]))
+        except NoConvergenceError as exc:
+            return roots[:i], exc
+    return roots, None
+
+
+def _refine_lanes(m: CircleMap, target: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """_refine's root of each bracket as numpy lanes, one per bracket, or NaN where
+    a lane leaves the bracket to _refine.
 
     Each lane runs _refine's arithmetic on elementwise array operations,
     which round as the float operations do: the secant budget, taken with
     math.log2 per distinct bracket width, the clamped secant point, the
     midpoint fallback and the Illinois halving.  The secant division is
-    masked to the lanes that take a secant step.  A lane leaves where _refine
-    returns: at an exact 0 of its lower end, at a closed bracket after the
-    residual check, or at an exact 0 inside, where the narrow test and the
-    two REFINE_TOL/2 probes run in lanes too and a lane on a wider zero
-    stretch finishes in the scalar _bisection_point.
+    masked to the lanes that take a secant step.  A lane returns where
+    _refine returns: at an exact 0 of its lower end, at a closed bracket
+    that passes the residual check, or at an exact 0 inside that the narrow
+    test and the two REFINE_TOL/2 probes, run in lanes too, call narrow.  A
+    lane that lands on a wider zero stretch, or closes with a residual past
+    RESIDUAL_TOL, is left as NaN: _refine repeats its steps and ends it as
+    the scalar refinement does, in _bisection_point or with the error.
     """
 
     def g(theta, at):
         return _wrap(_image(m, theta) - at)
 
-    n = len(target)
-    roots = np.empty(n)
-    failures: dict[int, NoConvergenceError] = {}  # lane -> the error _refine raises there
+    roots = np.full(len(target), math.nan)
     f_lo = g(lo, target)
     roots[f_lo == 0.0] = lo[f_lo == 0.0]
     lane = (f_lo != 0.0).nonzero()[0]
@@ -368,13 +374,6 @@ def _refine_lanes(
             narrow[narrow] = g(theta[z[narrow]] - half, at[z[narrow]]) != 0.0
             narrow[narrow] = g(theta[z[narrow]] + half, at[z[narrow]]) != 0.0
             roots[lane[z[narrow]]] = theta[z[narrow]]
-            for i in z[~narrow].tolist():  # a zero stretch wider than REFINE_TOL/2
-                j = int(lane[i])
-                point = (float(lo[j]), float(hi[j]), float(f_lo[j]), float(a[i]), float(b[i]))
-                try:
-                    roots[j] = _bisection_point(_difference(m, float(at[i])), *point)
-                except NoConvergenceError as exc:
-                    failures[j] = exc
             live = ~zero
             lane, at, a, b, f_a, f_b, steps, kept, theta, f_theta = (
                 x[live] for x in (lane, at, a, b, f_a, f_b, steps, kept, theta, f_theta)
@@ -388,11 +387,8 @@ def _refine_lanes(
         kept = np.where(same, 1, -1)
     if closed:
         lane, mid, at = (np.concatenate(x) for x in zip(*closed))
-        roots[lane] = mid % TWO_PI
-        for i in (np.abs(g(mid, at)) > RESIDUAL_TOL).nonzero()[0].tolist():
-            failures[int(lane[i])] = _stalled(float(mid[i]))
-    first = min(failures, default=n)
-    return roots[:first], failures.get(first)
+        roots[lane] = np.where(np.abs(g(mid, at)) > RESIDUAL_TOL, math.nan, mid % TWO_PI)
+    return roots
 
 
 def _targets(m: CircleMap, psi: float, isotropy: int) -> list[float]:
@@ -441,10 +437,11 @@ def _grid(kind: str, power: int) -> _Grid:
     return grid
 
 
-def _crossings(grid: _Grid, targets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Target and step indices of the grid steps that start on a target, and of
-    the brackets: steps whose wrapped difference to a target changes sign.
-    Both come sorted by target, then step.
+def _crossings(grid: _Grid, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target and step indices of the brackets, sorted by target, then step: the
+    grid steps that start on a target or whose wrapped difference to it changes
+    sign.  A step that starts on its target is the bracket whose refinement
+    returns that grid angle at its first probe.
 
     A grid step turns the image by at most rate * 2*pi/GRID, which the
     refusal keeps at pi/2 or less: a step over a root then changes the
@@ -475,10 +472,9 @@ def _crossings(grid: _Grid, targets: np.ndarray) -> tuple[np.ndarray, ...]:
     order = np.lexsort((step, target))
     target, step = target[order], step[order]
     diff, diff_next = _wrap(grid.image[np.add.outer((0, 1), step)] - targets[target])
-    hit = diff == 0.0
     # sign flips across the wrap are not roots
-    crossed = (diff * diff_next < 0) & (np.abs(diff_next - diff) < math.pi)
-    return target[hit], step[hit], target[crossed], step[crossed]
+    found = (diff == 0.0) | ((diff * diff_next < 0) & (np.abs(diff_next - diff) < math.pi))
+    return target[found], step[found]
 
 
 @dataclass(frozen=True)
@@ -518,13 +514,13 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     """circle_degree2(m, value) for each of ``values``, in one pass over the map's grid.
 
     The grid is _grid's, evaluated once per kind and power.  The brackets of
-    all values are found in one sparse search and refined one by one with
-    the scalar _refine, or as numpy lanes when there are at least
-    LANE_BRACKETS of them, with the same roots bit for bit; the slopes
-    of all roots come from one evaluation, and roots, orbits and weights are
-    tallied over (value, root) rows.  Each result is the one a call for its
-    value alone returns, bit for bit; its points are read-only slices of one
-    array per column, and no CirclePreimage is built until ``points`` is read.
+    all values are found in one sparse search and refined by _refine_each,
+    each to one root; the slopes of all roots come from one evaluation, and
+    roots, orbits and weights are tallied over (value, root) rows, where the
+    orbit grouping merges roots within ANGLE_CLUSTER.  Each result is the one
+    a call for its value alone returns, bit for bit; its points are read-only
+    slices of one array per column, and no CirclePreimage is built until
+    ``points`` is read.
     The error raised is the one the first failing value raises in
     ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
     no angle; it is refused with PreconditionViolatedError before any work.
@@ -546,29 +542,16 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
             f"{m.kind} map turns at rate {rate}; a {GRID}-point grid resolves rates "
             f"up to {GRID // 4}"
         )
-    hit_target, hit_step, bracket_target, bracket_step = _crossings(
-        _grid(m.kind, m.power), targets
-    )
-
+    bracket_target, bracket_step = _crossings(_grid(m.kind, m.power), targets)
     grid = _GRID_ANGLES
-    brackets = (targets[bracket_target], grid[bracket_step], grid[bracket_step + 1])
-    if len(bracket_step) >= LANE_BRACKETS:
-        refined, failure = _refine_lanes(m, *brackets)
-    else:
-        refined, failure = _refine_each(m, *(ends.tolist() for ends in brackets))
+    roots, failure = _refine_each(
+        m, targets[bracket_target], grid[bracket_step], grid[bracket_step + 1]
+    )
     # the first value whose refinement raises
-    failed = len(psis) if failure is None else int(owner[bracket_target[len(refined)]])
-    roots = np.concatenate([grid[hit_step], refined])  # grid steps start below 2*pi
-    root_owner = owner[np.concatenate([hit_target, bracket_target[: len(refined)]])]
+    failed = len(psis) if failure is None else int(owner[bracket_target[len(roots)]])
+    root_owner = owner[bracket_target[: len(roots)]]
     order = np.lexsort((roots, root_owner))
     roots, root_owner = roots[order], root_owner[order]
-    # per value: a root that repeats its predecessor, or the value's first
-    # root across the 2*pi wrap, is dropped
-    first = root_owner.searchsorted(root_owner)  # row of each row's first root
-    keep = (TWO_PI - roots) + roots[first] >= ANGLE_CLUSTER
-    keep[1:] &= roots[1:] - roots[:-1] >= ANGLE_CLUSTER
-    keep[first] = True
-    roots, root_owner = roots[keep], root_owner[keep]
 
     above, below = circle_eval(m, np.add.outer((SLOPE_STEP, -SLOPE_STEP), roots))
     slopes = _wrap(above - below)

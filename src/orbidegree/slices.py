@@ -140,14 +140,20 @@ class LiftEvaluation:
 
 
 def _as_sphere(x, space: WpsOrbifold) -> np.ndarray:
-    """Unit-norm representative of x: a WpsPoint of ``space``, or finite coordinates."""
+    """Unit-norm representative of x: a WpsPoint of ``space``, or a vector of finite
+    coordinates, one per weight of ``space``, not all zero."""
     if isinstance(x, WpsPoint):
         if x.space != space:
             raise ValueError(f"point lives in {x.space}, not in the source {space}")
         return sphere_point(x)
     z = np.asarray(x, dtype=complex)
+    n = len(space.weights)
+    if z.shape != (n,):
+        raise ValueError(f"a point of {space} is a vector of {n} coordinates, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise PreconditionViolatedError(f"point {z} is not finite")
+    if not z.any():
+        raise PreconditionViolatedError("point is the zero vector, which lies over no point")
     return _normalize(z)
 
 

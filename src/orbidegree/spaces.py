@@ -250,11 +250,18 @@ class CircleQuotient:
     group: str  # "rotation" | "reflection"
     order: int
 
+    def __post_init__(self) -> None:
+        if self.group not in ("rotation", "reflection"):
+            raise ValueError(f"circle group {self.group!r} is not 'rotation' or 'reflection'")
+        (order,) = integers((self.order,), f"{self.group} order")
+        object.__setattr__(self, "order", order)
+        if self.group == "rotation" and order < 1:
+            raise ValueError("rotation order must be >= 1")
+        if self.group == "reflection" and order != 2:
+            raise ValueError(f"the reflection group has order 2, got {order}")
+
     @classmethod
     def rotation(cls, k: int = 1) -> "CircleQuotient":
-        (k,) = integers((k,), "rotation order")
-        if k < 1:
-            raise ValueError("rotation order must be >= 1")
         return cls("rotation", k)
 
     @classmethod

@@ -321,7 +321,7 @@ def _brackets(m, *values):
         _outcome(circle_degrees, m, list(values))
     if not found:  # refused before the grid
         return []
-    targets, (_, _, bracket_target, bracket_step) = found[0]
+    targets, (bracket_target, bracket_step) = found[0]
     grid = circle._GRID_ANGLES
     return list(zip(targets[bracket_target].tolist(), grid[bracket_step].tolist(),
                     grid[bracket_step + 1].tolist()))
@@ -356,11 +356,8 @@ def _evaluations(func, *args, image=circle._image):
 
 
 def _refine_lane(m, target, lo, hi):
-    """_refine of one bracket on the lane path: its root, or the error raised."""
-    roots, failure = circle._refine_lanes(m, *(np.array([x]) for x in (target, lo, hi)))
-    if failure is not None:
-        raise failure
-    return float(roots[0])
+    """One bracket narrowed as a lane: its root, or NaN where the lane leaves it to _refine."""
+    return float(circle._refine_lanes(m, *(np.array([x]) for x in (target, lo, hi)))[0])
 
 
 def _slope(m, theta):
@@ -407,7 +404,9 @@ def test_winding_roots_take_at_most_six_evaluations(value):
     # what the scalar refinement probes, and the lanes of the call add up
     brackets = _brackets(m, value)
     per_root = [_evaluations(circle._refine, m, *b)[1] for b in brackets]
-    per_lane = [_evaluations(_refine_lane, m, *b)[1] for b in brackets]
+    lanes = [_evaluations(_refine_lane, m, *b) for b in brackets]
+    assert not any(math.isnan(root) for root, _ in lanes)  # no lane is left to _refine
+    per_lane = [count for _, count in lanes]
     assert per_lane == per_root and sum(per_lane) == calls
     assert len(per_root) == 1000 and 1 <= min(per_root) and max(per_root) <= 6
 
@@ -544,17 +543,19 @@ def test_float_probes_refine_to_the_array_probe_roots(m, value, rnd):
 def _lane_outcomes(m, brackets):
     """Each bracket's outcome on the lane path, as _refinement gives it.
 
-    The lanes return the roots before the first failing bracket and its
-    error; the brackets after it run again as lanes of their own."""
+    _refine_each, made to start every call on lanes, returns the roots before
+    the first failing bracket and its error; the brackets after it run again
+    as lanes of their own."""
     outcomes = []
-    while brackets:
-        columns = (np.array(column) for column in zip(*brackets))
-        roots, failure = circle._refine_lanes(m, *columns)
-        outcomes += roots.tolist()
-        if failure is None:
-            break
-        outcomes.append((type(failure), str(failure)))
-        brackets = brackets[len(roots) + 1:]
+    with mock.patch.object(circle, "LANE_BRACKETS", 1):
+        while brackets:
+            columns = (np.array(column) for column in zip(*brackets))
+            roots, failure = circle._refine_each(m, *columns)
+            outcomes += roots.tolist()
+            if failure is None:
+                break
+            outcomes.append((type(failure), str(failure)))
+            brackets = brackets[len(roots) + 1:]
     return outcomes
 
 
@@ -591,15 +592,56 @@ def _synthetic_brackets(target, root, width):
 def test_lanes_refine_synthetic_images_as_the_scalar_refinement(make_image):
     target = root = 1.0
     brackets = _synthetic_brackets(target, root, TWO_PI / GRID)
+    m = CircleMap.winding(1)
     bisection = mock.patch.object(circle, "_bisection_point", wraps=circle._bisection_point)
     with mock.patch.object(circle, "_image", make_image(target, root)), bisection as fallback:
-        lanes = _lane_outcomes(CircleMap.winding(1), brackets)
+        lanes = _lane_outcomes(m, brackets)
         lane_fallbacks = fallback.call_count
-        assert lanes == _scalar_outcomes(CircleMap.winding(1), brackets)
+        assert lanes == _scalar_outcomes(m, brackets)
+        left = np.isnan(circle._refine_lanes(m, *map(np.array, zip(*brackets))))
     # both images have a zero stretch wider than REFINE_TOL/2 at the root (the
-    # jump image left of it, where 1.0 - 1e-6 * distance rounds to 1.0), and a
-    # lane that lands on it finishes in the scalar bisection
-    assert lane_fallbacks > 0
+    # jump image left of it, where 1.0 - 1e-6 * distance rounds to 1.0); a
+    # lane that lands on it is left to _refine, which ends in the bisection
+    assert left.any() and lane_fallbacks > 0
+
+
+def _left_lanes_case(name):
+    """(image, map, brackets) whose lanes leave some brackets to _refine: on a
+    zero stretch wider than REFINE_TOL/2, or with a residual past RESIDUAL_TOL
+    where winding(1)'s difference to pi jumps across theta = 0."""
+    m, width = CircleMap.winding(1), TWO_PI / GRID
+    if name == "zero stretch":
+        return _zero_stretch_image(1.0, 1.0), m, _synthetic_brackets(1.0, 1.0, width)
+    jumps = _synthetic_brackets(math.pi, 0.0, width)
+    regular = _synthetic_brackets(math.pi, math.pi, width)
+    return circle._image, m, [bracket for pair in zip(regular, jumps) for bracket in pair]
+
+
+@pytest.mark.parametrize("name", ["zero stretch", "residual"])
+@pytest.mark.usefixtures("fresh_grids")
+def test_lanes_leave_their_rare_brackets_to_the_scalar_refinement(name):
+    image, m, brackets = _left_lanes_case(name)
+    columns = [np.array(column) for column in zip(*brackets)]
+    with mock.patch.object(circle, "_image", image):
+        scalar = _scalar_outcomes(m, brackets)
+        left = np.isnan(circle._refine_lanes(m, *columns)).nonzero()[0].tolist()
+        with mock.patch.object(circle, "_refine", wraps=circle._refine) as refine:
+            roots, failure = circle._refine_each(m, *columns)  # 204 or 408: on lanes
+    assert len(brackets) >= circle.LANE_BRACKETS and left
+    # _refine runs on the left lanes in bracket order, up to the first that raises
+    failing = [i for i in left if isinstance(scalar[i], tuple)]
+    ran = left[: left.index(failing[0]) + 1] if failing else left
+    assert [c.args for c in refine.call_args_list] == [(m, *brackets[i]) for i in ran]
+    assert all(type(arg) is float for c in refine.call_args_list for arg in c.args[1:])
+    # and each bracket's outcome is the scalar refinement's
+    assert roots.tolist() == scalar[: len(roots)]
+    if failing:
+        assert len(roots) == failing[0]
+        assert (type(failure), str(failure)) == scalar[failing[0]]
+    else:
+        assert failure is None and len(roots) == len(brackets)
+    # the first left lane ends in a root on a zero stretch, in the error past RESIDUAL_TOL
+    assert isinstance(scalar[left[0]], float) == (name == "zero stretch")
 
 
 @pytest.mark.usefixtures("fresh_grids")
@@ -743,16 +785,33 @@ _FLAT_PAIR_VALUES = np.linspace(0.1, math.pi - 0.1, 50).tolist()
 def test_sparse_search_finds_the_dense_search_hits_and_brackets(case):
     m, targets = case
     grid = circle._grid(m.kind, m.power)
-    hit_target, hit_step, bracket_target, bracket_step = circle._crossings(
-        grid, np.array(targets)
-    )
+    bracket_target, bracket_step = circle._crossings(grid, np.array(targets))
     image = circle_eval(m, np.linspace(0.0, TWO_PI, GRID + 1))
     image[-1] = image[0]
     assert image.tobytes() == grid.image.tobytes()
     hits, brackets = dense_brackets(image, targets)
-    assert sorted(zip(hit_target.tolist(), hit_step.tolist())) == sorted(hits)
-    # brackets in the order they are refined: by target, then step
-    assert list(zip(bracket_target.tolist(), bracket_step.tolist())) == sorted(brackets)
+    assert not set(hits) & set(brackets)
+    # the steps that start on a target are brackets too, all in the order
+    # they are refined: by target, then step
+    found = list(zip(bracket_target.tolist(), bracket_step.tolist()))
+    assert found == sorted(hits + brackets)
+
+
+@pytest.mark.parametrize("m, step", [
+    (CircleMap.winding(7), 585),
+    (CircleMap.winding(-3), 1000),
+    (CircleMap.fold(), 1024),
+    (CircleMap.flat_odd(), 700),
+])
+def test_a_value_on_a_grid_image_value_is_found_at_its_grid_angle_in_one_probe(m, step):
+    # the step that starts on the target is a bracket like any other; the
+    # refinement's first probe, at the bracket's low end, returns that end
+    angle = float(circle._GRID_ANGLES[step])
+    value = float(circle_eval(m, circle._GRID_ANGLES)[step])
+    (bracket,) = [b for b in _brackets(m, value) if b[1] == angle]
+    assert _evaluations(circle._refine, m, *bracket) == (angle, 1)
+    assert _evaluations(_refine_lane, m, *bracket) == (angle, 1)
+    assert angle in circle_degree2(m, value).preimages.angles()
 
 
 def _loop_outcome(m, values):
@@ -914,10 +973,15 @@ def test_a_lane_failure_is_raised_in_value_order(failing, critical):
 ])
 def test_calls_with_many_brackets_refine_them_as_lanes(m, count, lanes):
     values = np.linspace(0.3, math.pi - 0.3, count).tolist()
+    brackets = _brackets(m, *values)
+    assert (len(brackets) >= circle.LANE_BRACKETS) == lanes
     with mock.patch.object(circle, "_refine_lanes", wraps=circle._refine_lanes) as lane_path, \
-            mock.patch.object(circle, "_refine_each", wraps=circle._refine_each) as each:
+            mock.patch.object(circle, "_refine", wraps=circle._refine) as scalar:
         circle_degrees(m, values)
-    assert (lane_path.called, each.called) == (lanes, not lanes)
+    # at these regular values the lanes finish every bracket; a smaller call
+    # refines each with _refine
+    assert lane_path.called == lanes
+    assert scalar.call_count == (0 if lanes else len(brackets))
 
 
 def _grid_evaluations(func, *args):

@@ -327,3 +327,31 @@ def test_slice_engine_refuses_a_point_of_another_space():
             slice_lift(f, x, other)
     assert numeric_jacobian(f, x).sign == 1
     assert slice_lift(f, x, x).residual == 0.0
+
+
+_MALFORMED = {
+    "length 2": (np.ones(2), ValueError, "vector of 4 coordinates, got shape \\(2,\\)"),
+    "length 5": (np.ones(5), ValueError, "vector of 4 coordinates, got shape \\(5,\\)"),
+    "rows": (np.ones((2, 4)), ValueError, "vector of 4 coordinates, got shape \\(2, 4\\)"),
+    "float": (1.5, ValueError, "vector of 4 coordinates, got shape \\(\\)"),
+    "zero": (np.zeros(4), PreconditionViolatedError, "zero vector"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_slice_engine_refuses_a_malformed_point_before_any_arithmetic(where, name):
+    # these used to fail inside numpy: a broadcast, reshape or vstack ValueError,
+    # an AxisError, or _normalize's bare ValueError for the zero vector
+    bad, error, message = _MALFORMED[name]
+    f = MonomialMap.from_projective((1, 2, 3, 4))
+    x = sphere_point(f.source.all_ones())
+    point = {"x": x, "y": x, where: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as lift:
+            slice_lift(f, point["x"], point["y"])
+        with pytest.raises(error, match=message) as jacobian:
+            numeric_jacobian(f, point[where])
+    for raised in (lift, jacobian):
+        assert type(raised.value) is error

@@ -93,6 +93,27 @@ def test_rotation_order_must_be_an_integer():
     assert CircleQuotient.rotation(np.int64(3)) == CircleQuotient.rotation(3)
 
 
+@pytest.mark.parametrize("group, order, message", [
+    ("rotation", 0, "rotation order must be >= 1"),
+    ("rotation", -3, "rotation order must be >= 1"),
+    ("rotation", 2.5, "expected integer rotation order"),
+    ("reflection", 5, "reflection group has order 2, got 5"),
+    ("reflection", 2.0, "expected integer reflection order"),
+    ("rotaton", 3, "circle group 'rotaton' is not 'rotation' or 'reflection'"),
+])
+def test_a_circle_quotient_is_checked_however_it_is_built(group, order, message):
+    # the constructor used to accept these, and a power map on ("rotation", 0)
+    # then divided by zero
+    with pytest.raises(ValueError, match=message):
+        CircleQuotient(group, order)
+
+
+def test_the_circle_quotient_constructor_equals_its_classmethods():
+    assert CircleQuotient("rotation", np.int64(3)) == CircleQuotient.rotation(3)
+    assert type(CircleQuotient("rotation", np.int64(3)).order) is int
+    assert CircleQuotient("reflection", 2) == CircleQuotient.reflection()
+
+
 def test_point_validation():
     space = WpsOrbifold((1, 3))
     with pytest.raises(ValueError):
