@@ -524,7 +524,9 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     The error raised is the one the first failing value raises in
     ``[circle_degree2(m, v) for v in values]``.  A NaN or infinite value has
     no angle; it is refused with PreconditionViolatedError before any work.
+    ``values`` is read once, so any iterable of numbers will do.
     """
+    values = list(values)
     for value in values:
         if not math.isfinite(value):
             raise PreconditionViolatedError(f"circle value {float(value)} is not finite")

@@ -15,8 +15,10 @@ stab*w, and it moves digit i through the multiples of
 g_i = gcd(e_i, stab*w_i); so a coset's minimal digit there is below g_i,
 and the elements that also fix it are multiples of stab * e_i/g_i.  The
 minimal representatives are therefore exactly the tuples with b_i < g_i.
-They come out sorted, in O(N/L) time and memory for N = prod(e) tuples and
-a subgroup of order L.
+Their codes are built from one run of place-value multiples per factor with
+g_i > 1, each added to the codes so far in one outer sum; a factor with
+g_i = 1 adds nothing.  They come out sorted, in O(N/L) time and memory for
+N = prod(e) tuples and a subgroup of order L.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ def shift_order(moduli: tuple[int, ...], shift: tuple[int, ...]) -> int:
     return math.lcm(*(e // math.gcd(e, v % e) for e, v in zip(moduli, shift)))
 
 
-def _places(moduli: tuple[int, ...]) -> np.ndarray:
-    places = np.ones(len(moduli), dtype=np.int64)
+def _places(moduli: tuple[int, ...]) -> list[int]:
+    """Place value of each factor, as Python ints: the product of the later moduli."""
+    places = [1] * len(moduli)
     for i in range(len(moduli) - 2, -1, -1):
         places[i] = places[i + 1] * moduli[i + 1]
     return places
@@ -44,12 +47,12 @@ def _places(moduli: tuple[int, ...]) -> np.ndarray:
 
 def decode(codes: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """Mixed-radix digits of shape (len(codes), k)."""
-    places = _places(moduli)
+    places = np.array(_places(moduli), dtype=np.int64)
     return (np.asarray(codes, dtype=np.int64)[:, None] // places) % np.asarray(moduli)
 
 
 def encode(digits: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    return np.asarray(digits, dtype=np.int64) @ _places(moduli)
+    return np.asarray(digits, dtype=np.int64) @ np.array(_places(moduli), dtype=np.int64)
 
 
 def subgroup_digits(moduli: tuple[int, ...], shift: tuple[int, ...]) -> np.ndarray:
@@ -63,6 +66,10 @@ def coset_minima(
     moduli: tuple[int, ...], shift: tuple[int, ...], cap: int | None = None
 ) -> np.ndarray:
     """Sorted codes of the lexicographically minimal element of every coset of <shift>.
+
+    The codes are the outer sum of one int64 run 0, p_i, ..., (g_i - 1)*p_i per
+    factor with chain bound g_i > 1 and place value p_i; a fibre of one coset
+    is the single code 0.
 
     Raises EnumerationCapExceededError when the fibre size prod(moduli)
     exceeds ``cap``, or when it does not fit the int64 codes.
@@ -84,7 +91,10 @@ def coset_minima(
         raise OrbidegreeError(
             f"cosets of <{shift}> in moduli {moduli} do not tile the fibre; this is a bug"
         )
-    codes = np.zeros((), dtype=np.int64)
+    codes = None
     for g, place in zip(bounds, _places(moduli)):
-        codes = np.add.outer(codes, np.arange(g, dtype=np.int64) * place)
-    return codes.reshape(-1)
+        if g == 1:
+            continue  # the factor's only digit is 0
+        run = np.arange(0, g * place, place, dtype=np.int64)
+        codes = run if codes is None else np.add.outer(codes, run).reshape(-1)
+    return np.zeros(1, dtype=np.int64) if codes is None else codes

@@ -906,6 +906,19 @@ def test_circle_degrees_raises_what_the_first_failing_value_raises():
 def test_circle_degrees_of_no_values_is_empty():
     assert circle_degrees(CircleMap.fold(), []) == []
     assert circle_degrees(CircleMap.winding(2000), []) == []  # as the loop: nothing to refuse
+    assert circle_degrees(CircleMap.fold(), iter([])) == []
+
+
+@pytest.mark.parametrize("m", [CircleMap.winding(7), CircleMap.fold(), CircleMap.flat_odd()],
+                         ids=lambda m: m.kind)
+def test_circle_degrees_reads_a_generator_as_its_list(m):
+    values = [0.4, 1.9, 5.0]
+
+    def rows(results):
+        return [(r.weighted_count, r.mod2, r.preimages.angle.tolist(), r.preimages.sign.tolist(),
+                 r.preimages.isotropy.tolist()) for r in results]
+
+    assert rows(circle_degrees(m, (value for value in values))) == rows(circle_degrees(m, values))
 
 
 @pytest.mark.parametrize("failing, critical", [(1, None), (2, 1), (1, 2)])
@@ -1104,7 +1117,8 @@ def test_flat_bump_equals_the_masked_form(y):
 @pytest.mark.usefixtures("fresh_grids")
 def test_non_finite_values_are_refused_before_the_grid(m, bad):
     with mock.patch.object(circle, "circle_eval", side_effect=AssertionError("map evaluated")):
-        for values in ([bad], [0.3, bad, 1.0], np.array([0.3, bad])):
+        for values in ([bad], [0.3, bad, 1.0], np.array([0.3, bad]),
+                       (value for value in [0.3, bad, 1.0])):
             with pytest.raises(PreconditionViolatedError, match=f"value {bad} is not finite"):
                 circle_degrees(m, values)
         with pytest.raises(PreconditionViolatedError, match=f"value {bad} is not finite"):

@@ -40,13 +40,30 @@ cases = [
     ((2, 2, 2), (1, 1, 0)),
     ((12,), (8,)),
     ((9, 6), (3, 2)),
+    # a factor whose only digit is 0 (g_i = 1 < e_i): first, in the middle, last
+    ((4, 3), (1, 0)),
+    ((3, 4, 2), (0, 1, 0)),
+    ((3, 5), (0, 1)),
+    ((4, 6, 3), (1, 3, 1)),
+    # factors with e_i = 1
+    ((1,), (0,)),
+    ((1, 4, 1, 3), (0, 2, 0, 1)),
+    ((2, 1), (1, 0)),
+    # a single coset: the fibre is the orbit of 0
+    ((5,), (1,)),
+    ((2, 3), (1, 1)),
+    # L = 1: every tuple is its own coset
+    ((3, 1, 2), (0, 0, 0)),
+    ((7,), (0,)),
 ]
 
 
 @pytest.mark.parametrize("moduli,shift", cases)
 def test_matches_brute_force(moduli, shift):
-    got = coset_minima(moduli, shift).tolist()
-    assert got == brute_coset_minima(moduli, shift)
+    codes = coset_minima(moduli, shift)
+    assert codes.dtype == np.int64 and codes.ndim == 1
+    assert np.all(np.diff(codes) > 0)
+    assert codes.tolist() == brute_coset_minima(moduli, shift)
 
 
 @settings(deadline=None, max_examples=60)
@@ -57,8 +74,9 @@ def test_matches_brute_force(moduli, shift):
 def test_matches_brute_force_random(moduli, data):
     moduli = tuple(moduli)
     shift = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
-    got = coset_minima(moduli, shift).tolist()
-    assert got == brute_coset_minima(moduli, shift)
+    codes = coset_minima(moduli, shift)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == brute_coset_minima(moduli, shift)
 
 
 def test_order_72_subgroup_matches_brute_force():
