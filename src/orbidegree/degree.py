@@ -294,12 +294,14 @@ def degree_closed_form(f: MonomialMap) -> int:
     return value
 
 
-def smooth_preimage_check(
-    f: MonomialMap, y: WpsPoint, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """True iff every preimage of the smooth regular value y is itself smooth."""
+def smooth_preimage_check(f: MonomialMap, y: WpsPoint) -> bool:
+    """True iff every preimage of the smooth regular value y is itself smooth.
+
+    Every preimage has y's support, so all share the isotropy order
+    gcd{q_i : i in support}; the fibre is never solved, however large.
+    """
     if isotropy(y).order != 1:
         raise PreconditionViolatedError(f"{y} is not a smooth point")
     if not is_regular_value(f, y):
         raise PreconditionViolatedError(f"{y} is not a regular value")
-    return _solve_fibre(f, y, cap).point_isotropy == 1
+    return support_isotropy_order(f.source.weights, y.support) == 1

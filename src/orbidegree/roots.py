@@ -63,10 +63,6 @@ class RootOfUnity:
     def one(cls) -> "RootOfUnity":
         return cls(0, 1)
 
-    @property
-    def is_one(self) -> bool:
-        return self.num == 0
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         order = math.lcm(self.order, other.order)
         num = self.num * (order // self.order) + other.num * (order // other.order)

@@ -8,6 +8,8 @@ slices, but a unique small rotation k(y) = e^{i phi} pushes the image back
 into the target slice.  phi solves a one-real-unknown orthogonality equation
 by Newton iteration (the acting group is a circle, so one parameter
 suffices, and the correction is unique in the window |phi| < pi/|G_image|).
+slice_lift returns that corrected image with its phase, residual and
+iteration count; it needs no slice frame, so it builds no chart.
 
 Finite differences of the corrected lift across orthonormal slice frames,
 all 2*dim perturbed points lifted in one Newton kernel call, give the
@@ -15,7 +17,8 @@ Jacobian whose determinant sign and smallest singular value certify
 orientation behaviour and regularity.  Frames are oriented so that (base
 point, orbit rotation direction, frame) is positively oriented in the ambient
 complex coordinates, which induces the complex orientation on the quotient
-uniformly in the weights; holomorphic chart lifts then have sign +1.
+uniformly in the weights; holomorphic chart lifts then have sign +1.  A
+one-weight space is a point and has no slice frame.
 """
 
 from __future__ import annotations
@@ -88,15 +91,14 @@ class SliceChart:
         v = _to_real(self.base) + np.asarray(coeffs, dtype=float) @ self.frame
         return _normalize(_to_complex(v))
 
-    def coords(self, z: np.ndarray) -> np.ndarray:
-        return self.frame @ (_to_real(z) - _to_real(self.base))
-
 
 def orbit_direction(z: np.ndarray, weights: tuple[int, ...]) -> np.ndarray:
     return 1j * np.array(weights) * np.asarray(z, dtype=complex)
 
 
 def slice_chart(z: np.ndarray, weights: tuple[int, ...]) -> SliceChart:
+    if len(weights) == 1:
+        raise PreconditionViolatedError("a one-weight space is a point, which has no slice frame")
     z = _normalize(np.asarray(z, dtype=complex))
     base_r = _to_real(z)
     tangent = _to_real(orbit_direction(z, weights))
@@ -123,20 +125,10 @@ def slice_chart(z: np.ndarray, weights: tuple[int, ...]) -> SliceChart:
 
 @dataclass(eq=False)
 class LiftEvaluation:
-    slice_coords: np.ndarray
     corrected: np.ndarray
     phase: float
     residual: float
     iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "slice_coords": list(map(float, self.slice_coords)),
-            "corrected": [[float(c.real), float(c.imag)] for c in self.corrected],
-            "phase": self.phase,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
 
 
 def _as_sphere(x, space: WpsOrbifold) -> np.ndarray:
@@ -210,22 +202,13 @@ def slice_lift(f: MonomialMap, x, y) -> LiftEvaluation:
     corrected, phase, residual, iterations = _corrected(
         f, evaluate_upstairs(f, x), evaluate_upstairs(f, y)[None]
     )
-    return LiftEvaluation(
-        slice_coords=slice_chart(x, f.source.weights).coords(y),
-        corrected=corrected[0],
-        phase=float(phase[0]),
-        residual=float(residual[0]),
-        iterations=iterations,
-    )
+    return LiftEvaluation(corrected[0], float(phase[0]), float(residual[0]), iterations)
 
 
 @dataclass(frozen=True)
 class JacobianCertificate:
     sign: int
     smallest_singular_value: float
-
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "smallest_singular_value": self.smallest_singular_value}
 
 
 def numeric_jacobian(f: MonomialMap, x) -> JacobianCertificate:

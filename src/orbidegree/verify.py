@@ -11,6 +11,7 @@ missing.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .degree import (
 )
 from .maps import MonomialMap, compose
 from .roots import ExactCoordinate, RootOfUnity
-from .spaces import WpsOrbifold, WpsPoint, strata
+from .spaces import WpsOrbifold, WpsPoint, support_singular_dimension
 
 
 @dataclass
@@ -118,18 +119,27 @@ def random_composable_pairs(
 def regular_support_values(f: MonomialMap) -> list[WpsPoint]:
     """One value per regular support class of the target, ones on the support.
 
-    Supports come in strata(f.target) order; points are built for regular ones only.
+    Supports come in strata(f.target) order: by descending singular dimension,
+    then by size, then lexicographically; points are built for regular ones only.
     """
+    weights = f.target.weights
+    supports = sorted(
+        (
+            sup
+            for size in range(1, len(weights) + 1)
+            for sup in itertools.combinations(range(len(weights)), size)
+            if support_regularity(f, sup).regular
+        ),
+        key=lambda sup: support_singular_dimension(weights, sup),
+        reverse=True,  # stable, as strata() keeps each dimension's supports in walk order
+    )
     values = []
-    for record in strata(f.target).records:
-        for comp in record.components:
-            sup = comp.support
-            if support_regularity(f, sup).regular:
-                coords = tuple(
-                    ExactCoordinate.one() if i in sup else ExactCoordinate.zero()
-                    for i in range(len(f.target.weights))
-                )
-                values.append(WpsPoint(f.target, coords))
+    for sup in supports:
+        coords = tuple(
+            ExactCoordinate.one() if i in sup else ExactCoordinate.zero()
+            for i in range(len(weights))
+        )
+        values.append(WpsPoint(f.target, coords))
     return values
 
 

@@ -31,8 +31,7 @@ into zeros.
 ``loop_slice_lift`` is the scalar Newton iteration the slice engine used
 before its array kernel: one point, a residual-and-slope closure, Python
 floats.  ``loop_numeric_jacobian`` is the Jacobian loop of that time, one
-lift per (frame vector, sign) pair, each re-checking its input and
-rebuilding the source chart.
+lift per (frame vector, sign) pair, each re-checking its input.
 
 ``chart_isotropy``, ``chart_singular_dimension``, ``image_theta_at`` and
 ``strata_regular_support_values`` are the support rules before they moved
@@ -416,9 +415,7 @@ def loop_slice_lift(f, x, y):
     if abs(phi) >= window:
         raise NewtonDivergedError(f"phase {phi:.3g} left the uniqueness window {window:.3g}")
 
-    corrected = np.exp(1j * r * phi) * w
-    src_chart = slice_chart(x, f.source.weights)
-    return LiftEvaluation(src_chart.coords(y), corrected, phi, res, iterations)
+    return LiftEvaluation(np.exp(1j * r * phi) * w, phi, res, iterations)
 
 
 def loop_numeric_jacobian(f, x):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
 
 from orbidegree.degree import (
+    DEFAULT_ENUMERATION_CAP,
     PreimageColumns,
     PreimageRecord,
     _solve_fibre,
@@ -155,6 +156,22 @@ def test_smooth_preimage_check_and_weighted_cardinality_build_no_columns(monkeyp
     f = MonomialMap.from_projective((2, 3, 5))
     assert smooth_preimage_check(f, f.target.all_ones())
     assert weighted_cardinality(f, f.target.all_ones()) == 30
+
+
+def test_smooth_preimage_check_solves_no_fibre(monkeypatch):
+    def refuse(f, y, cap):
+        raise AssertionError("a fibre was solved")
+
+    monkeypatch.setattr(degree_module, "_solve_fibre", refuse)
+    f = MonomialMap.from_projective((2, 3, 5))
+    assert smooth_preimage_check(f, f.target.all_ones())
+
+
+def test_smooth_preimage_check_answers_past_the_enumeration_cap():
+    # the fibre of [1:1:1] has 1 * 5000 * 5001 = 25_005_000 tuples
+    f = MonomialMap.from_projective((1, 5000, 5001))
+    assert f.exponent_product > DEFAULT_ENUMERATION_CAP
+    assert smooth_preimage_check(f, f.target.all_ones())
 
 
 def test_weighted_cardinality_checks_the_weight_of_each_point(monkeypatch):

@@ -235,7 +235,6 @@ def test_slice_lift_equals_the_scalar_newton_loop_bit_for_bit():
             expected.phase, expected.residual, expected.iterations
         )
         assert got.corrected.tobytes() == expected.corrected.tobytes()
-        assert got.slice_coords.tobytes() == expected.slice_coords.tobytes()
     assert triples == 82
 
 
@@ -296,6 +295,28 @@ def test_numeric_jacobian_builds_two_charts_and_no_lift(monkeypatch):
     cert = numeric_jacobian(f, sphere_point(f.source.all_ones()))
     assert cert.sign == 1
     assert charts == [f.source.weights, f.target.weights]
+
+
+def test_slice_lift_builds_no_chart(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("slice_lift built a slice chart")
+
+    f = MonomialMap.from_projective((1, 2, 3, 4))
+    x = sphere_point(f.source.all_ones())
+    y = slice_chart(x, f.source.weights).point(np.full(6, 1e-3))
+    monkeypatch.setattr(slices, "slice_chart", refuse)
+    assert abs(slice_lift(f, x, y).residual) < slices.RESIDUAL_TOL
+
+
+def test_a_one_weight_space_has_no_slice_frame():
+    # CP^0 is a point: the lift is its image, but no chart or Jacobian exists
+    f = MonomialMap(WpsOrbifold((1,)), WpsOrbifold((1,)), (3,))
+    x = sphere_point(f.source.all_ones())
+    with pytest.raises(PreconditionViolatedError, match="no slice frame"):
+        slice_chart(x, f.source.weights)
+    with pytest.raises(PreconditionViolatedError, match="no slice frame"):
+        numeric_jacobian(f, f.source.all_ones())
+    assert slice_lift(f, x, x).residual == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

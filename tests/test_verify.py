@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import drawn_maps, strata_regular_support_values
-from orbidegree import verify
+from orbidegree import spaces, verify
 from orbidegree.circle import CircleMap, CirclePreimage, covering_degree
 from orbidegree.errors import EnumerationCapExceededError
 from orbidegree.maps import MonomialMap
@@ -59,6 +59,16 @@ def test_regular_support_values_build_points_only_for_regular_supports(monkeypat
     # strata order: singular dimension 4 (supports by size, then lexicographic), then 0
     assert [y.support for y in values] == [(0, 2), (1, 2), (0, 1, 2), (2,)]
     assert len(built) == len(values)
+
+
+def test_value_independence_builds_no_strata_report(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a StrataReport was built")
+
+    monkeypatch.setattr(verify, "strata", refuse, raising=False)
+    monkeypatch.setattr(spaces, "StrataReport", refuse)
+    report = check_value_independence(MonomialMap.from_projective((1, 1, 5)))
+    assert report.passed and report.cases == 4
 
 
 def test_value_independence_counterexample_required():
