@@ -297,8 +297,10 @@ def degree_closed_form(f: MonomialMap) -> int:
 def smooth_preimage_check(f: MonomialMap, y: WpsPoint) -> bool:
     """True iff every preimage of the smooth regular value y is itself smooth.
 
-    Every preimage has y's support, so all share the isotropy order
-    gcd{q_i : i in support}; the fibre is never solved, however large.
+    Every preimage has y's support S, so all share the isotropy order
+    m = gcd{q_i : i in S}; the fibre is never solved.  Lemma: m = 1, always.
+    As q_i e_i = d r_i, m divides d gcd{r_i : i in S} = d (y is smooth); off S
+    e_j = 1 (y is regular), so m divides q_j = d r_j too, and gcd(q) = 1.
     """
     if isotropy(y).order != 1:
         raise PreconditionViolatedError(f"{y} is not a smooth point")

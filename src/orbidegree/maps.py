@@ -63,8 +63,7 @@ class MonomialMap:
         """CP^n(q) -> CP^n raising coordinate i to the power lcm(q)/q_i (d = lcm(q))."""
         source = WpsOrbifold(tuple(weights))
         target = WpsOrbifold(tuple(1 for _ in source.weights))
-        ell = source.lcm
-        return cls(source, target, tuple(ell // w for w in source.weights))
+        return cls(source, target, projective_exponents(source.weights))
 
     @classmethod
     def between(cls, q: tuple[int, ...], r: tuple[int, ...]) -> "MonomialMap":
@@ -96,6 +95,12 @@ class MonomialMap:
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.target}, e={self.exponents}, d={self.equivariance_degree}"
+
+
+def projective_exponents(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """lcm(q)/q_i for each weight: the exponents of MonomialMap.to_projective(q)."""
+    ell = math.lcm(*weights)
+    return tuple(ell // w for w in weights)
 
 
 def compose(f: MonomialMap, g: MonomialMap) -> MonomialMap:

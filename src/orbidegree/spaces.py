@@ -9,7 +9,8 @@ coordinates lexicographically over the finite residual group Z_{q0}.  The
 minimum is found in integer arithmetic by a stabilizer chain of that cyclic
 group, one step per coordinate, not by trying all q0 scalings; the same
 code canonicalizes one point or a whole fibre of points held as arrays
-(canonical_numerators).
+(canonical_numerators); WpsOrbifold.support_point skips it, as ones on a
+support and zeros elsewhere are already the least tuple of their orbit.
 
 The isotropy order and the singular dimension of a point depend only on its
 support (the indices of its nonzero coordinates): support_isotropy_order and
@@ -32,6 +33,8 @@ import numpy as np
 
 from .errors import NotEffectiveError
 from .roots import ExactCoordinate, RootOfUnity, integers
+
+_ONE, _ZERO = ExactCoordinate.one(), ExactCoordinate.zero()  # shared by every support point
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,22 @@ class WpsOrbifold:
         )
         return WpsPoint(self, parsed)
 
+    def support_point(self, support: tuple[int, ...]) -> "WpsPoint":
+        """The point with 1 on ``support`` and 0 elsewhere, canonical as built: every
+        numerator is 0, the least of its orbit.  Bad indices raise ValueError."""
+        n = len(self.weights)
+        support = integers(support, "support indices")
+        ones = set(support)
+        if not support or len(ones) != len(support) or not ones <= set(range(n)):
+            raise ValueError(f"support {support} is not nonempty distinct indices in 0..{n - 1}")
+        return WpsPoint._from_canonical(self, tuple(_ONE if i in ones else _ZERO for i in range(n)))
+
     def all_ones(self) -> "WpsPoint":
-        return WpsPoint(self, tuple(ExactCoordinate.one() for _ in self.weights))
+        return self.support_point(tuple(range(len(self.weights))))
 
     def axis_point(self, index: int) -> "WpsPoint":
         """The point with a single nonzero coordinate (equal to 1) at ``index``."""
-        coords = [ExactCoordinate.zero()] * len(self.weights)
-        coords[index] = ExactCoordinate.one()
-        return WpsPoint(self, tuple(coords))
+        return self.support_point((index,))
 
     def to_json(self) -> dict:
         return {"weights": list(self.weights)}
@@ -170,8 +181,8 @@ class WpsPoint:
     def _from_canonical(cls, space: WpsOrbifold, coords: tuple[ExactCoordinate, ...]) -> "WpsPoint":
         """The point with ``coords``, which the caller guarantees are already canonical.
 
-        Skips the constructor's checks and canonical form; for points read
-        back from canonical columns (degree.PreimageColumns).
+        Skips the constructor's checks and canonical form; for support points
+        and points read back from canonical columns (degree.PreimageColumns).
         """
         point = object.__new__(cls)
         object.__setattr__(point, "space", space)

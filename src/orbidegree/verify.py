@@ -2,10 +2,10 @@
 
 Each check runs a deterministic batch of cases and returns a PropertyReport;
 a failing case always records a replayable witness (map descriptor, probed
-value, seed).  The value-independence check doubles as the mandatory
-counterexample: on the reflection quotient it must *detect* that the mod-2
-degree depends on the value, and reports failure if the discrepancy is
-missing.
+value, seed), built only then.  The value-independence check doubles as the
+mandatory counterexample: on the reflection quotient it must *detect* that
+the mod-2 degree depends on the value, and reports failure if the
+discrepancy is missing.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,8 @@ from .degree import (
     support_regularity,
     weighted_cardinality,
 )
-from .maps import MonomialMap, compose
-from .roots import ExactCoordinate, RootOfUnity
+from .maps import MonomialMap, compose, projective_exponents
+from .roots import RootOfUnity
 from .spaces import WpsOrbifold, WpsPoint, support_singular_dimension
 
 
@@ -42,10 +43,11 @@ class PropertyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, witness: dict) -> None:
+    def record(self, ok: bool, witness: Callable[[], dict]) -> None:
+        """Count one case; ``witness()`` builds its failure record and runs only if not ok."""
         self.cases += 1
         if not ok:
-            self.failures.append(witness)
+            self.failures.append(witness())
 
     def to_json(self) -> dict:
         return {
@@ -75,27 +77,31 @@ def random_monomial_maps(
 
     Equivariance holds by construction, so no rejection sampling over
     exponent tuples is needed; chains are truncated to keep the exponent
-    product under ``max_product``.
+    product under ``max_product``.  Chains compose on exponent tuples, and
+    only each accepted map is built (and validated) as a MonomialMap.
     """
     rng = random.Random(seed)
     maps: list[MonomialMap] = []
     while len(maps) < count:
         n = rng.randint(1, max_n)
+        ones = (1,) * (n + 1)
         if rng.random() < 0.5:
-            current = MonomialMap.from_projective(_coprime_weights(rng, n, max_weight))
+            source, target = ones, _coprime_weights(rng, n, max_weight)
+            exponents = target
         else:
-            current = MonomialMap.to_projective(_coprime_weights(rng, n, max_weight))
+            source, target = _coprime_weights(rng, n, max_weight), ones
+            exponents = projective_exponents(source)
         for _ in range(rng.randint(0, 2)):
-            if current.target.weights == tuple(1 for _ in current.target.weights):
-                step = MonomialMap.from_projective(_coprime_weights(rng, n, max_weight))
+            if target == ones:
+                step = after = _coprime_weights(rng, n, max_weight)
             else:
-                step = MonomialMap.to_projective(current.target.weights)
-            candidate = compose(current, step)
-            if candidate.exponent_product > max_product:
+                step, after = projective_exponents(target), ones
+            candidate = tuple(a * b for a, b in zip(exponents, step))
+            if math.prod(candidate) > max_product:
                 break
-            current = candidate
-        if current.exponent_product <= max_product:
-            maps.append(current)
+            exponents, target = candidate, after
+        if math.prod(exponents) <= max_product:
+            maps.append(MonomialMap(WpsOrbifold(source), WpsOrbifold(target), exponents))
     return maps
 
 
@@ -109,10 +115,9 @@ def random_composable_pairs(
     pairs: list[tuple[MonomialMap, MonomialMap]] = []
     while len(pairs) < count:
         n = rng.randint(1, 2)
-        f = MonomialMap.to_projective(_coprime_weights(rng, n, max_weight))
-        g = MonomialMap.from_projective(_coprime_weights(rng, n, max_weight))
-        if compose(f, g).exponent_product <= max_product:
-            pairs.append((f, g))
+        q, r = _coprime_weights(rng, n, max_weight), _coprime_weights(rng, n, max_weight)
+        if math.prod(projective_exponents(q)) * math.prod(r) <= max_product:
+            pairs.append((MonomialMap.to_projective(q), MonomialMap.from_projective(r)))
     return pairs
 
 
@@ -120,7 +125,7 @@ def regular_support_values(f: MonomialMap) -> list[WpsPoint]:
     """One value per regular support class of the target, ones on the support.
 
     Supports come in strata(f.target) order: by descending singular dimension,
-    then by size, then lexicographically; points are built for regular ones only.
+    then by size, then lexicographically; regular ones only, by f.target.support_point.
     """
     weights = f.target.weights
     supports = sorted(
@@ -133,14 +138,7 @@ def regular_support_values(f: MonomialMap) -> list[WpsPoint]:
         key=lambda sup: support_singular_dimension(weights, sup),
         reverse=True,  # stable, as strata() keeps each dimension's supports in walk order
     )
-    values = []
-    for sup in supports:
-        coords = tuple(
-            ExactCoordinate.one() if i in sup else ExactCoordinate.zero()
-            for i in range(len(weights))
-        )
-        values.append(WpsPoint(f.target, coords))
-    return values
+    return [f.target.support_point(sup) for sup in supports]
 
 
 def check_local_constancy(
@@ -165,7 +163,8 @@ def check_local_constancy(
         count = weighted_cardinality(f, nearby, cap)
         report.record(
             count == base,
-            {"map": f.descriptor(), "value": nearby.encode(), "count": count, "expected": base},
+            lambda: {"map": f.descriptor(), "value": nearby.encode(), "count": count,
+                     "expected": base},
         )
     return report
 
@@ -184,7 +183,7 @@ def check_value_independence(
         top, bottom = circle_degrees(f, [math.pi / 2, 3 * math.pi / 2])
         report.record(
             top.mod2 != bottom.mod2,
-            {
+            lambda: {
                 "map": f.kind,
                 "values": ["pi/2", "3*pi/2"],
                 "mod2": [top.mod2, bottom.mod2],
@@ -201,7 +200,8 @@ def check_value_independence(
     for y, count in zip(values, counts):
         report.record(
             count == counts[0],
-            {"map": f.descriptor(), "value": y.encode(), "count": count, "expected": counts[0]},
+            lambda: {"map": f.descriptor(), "value": y.encode(), "count": count,
+                     "expected": counts[0]},
         )
     return report
 
@@ -219,7 +219,7 @@ def check_multiplicativity(
     dgf = degree(composed, cap=cap, include_preimages=False).oriented
     report.record(
         dgf == df * dg,
-        {"f": f.descriptor(), "g": g.descriptor(), "degrees": [df, dg, dgf]},
+        lambda: {"f": f.descriptor(), "g": g.descriptor(), "degrees": [df, dg, dgf]},
     )
     return report
 
@@ -241,7 +241,8 @@ def check_same_underlying(
         report.record(
             closed[0] == closed[1]
             and all(count == d for row, d in zip(counts, closed) for count in row),
-            {"fa": fa.descriptor(), "fb": fb.descriptor(), "closed_form": closed, "counts": counts},
+            lambda: {"fa": fa.descriptor(), "fb": fb.descriptor(), "closed_form": closed,
+                     "counts": counts},
         )
         return report
 
@@ -249,13 +250,13 @@ def check_same_underlying(
     thetas = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
     fold = fa.domain.fold
     gap = float(np.max(np.abs(fold(circle_eval(fa, thetas)) - fold(circle_eval(fb, thetas)))))
-    report.record(gap < 1e-12, {"pointwise_gap": gap})
+    report.record(gap < 1e-12, lambda: {"pointwise_gap": gap})
     values = np.linspace(margin, math.pi - margin, samples).tolist()
     for value, ra, rb in zip(values, circle_degrees(fa, values), circle_degrees(fb, values)):
         report.record(
             ra.mod2 == rb.mod2 and ra.weighted_count == rb.weighted_count,
-            {"value": value, "mod2": [ra.mod2, rb.mod2],
-             "counts": [ra.weighted_count, rb.weighted_count]},
+            lambda: {"value": value, "mod2": [ra.mod2, rb.mod2],
+                     "counts": [ra.weighted_count, rb.weighted_count]},
         )
     return report
 
@@ -269,7 +270,7 @@ def check_covering(max_order: int = 6) -> PropertyReport:
         result = circle_degree2(CircleMap.covering_projection(k), 0.375 * 2 * math.pi / k)
         report.record(
             result.weighted_count == k,
-            {"projection_order": k, "count": result.weighted_count},
+            lambda: {"projection_order": k, "count": result.weighted_count},
         )
     grid = [
         (1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 4, 1), (2, 4, 2),
@@ -281,7 +282,7 @@ def check_covering(max_order: int = 6) -> PropertyReport:
         upstairs = solved(1, m, 1)  # plain winding count, measured numerically
         report.record(
             induced * k == upstairs * b,
-            {"case": [k, m, b], "induced": induced, "upstairs": upstairs},
+            lambda: {"case": [k, m, b], "induced": induced, "upstairs": upstairs},
         )
     return report
 

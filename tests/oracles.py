@@ -42,9 +42,15 @@ canonicalized the image point f(x) to read its isotropy; and the regular
 support values built a point for every support of strata(), deduplicated by
 a set, and tested each point's regularity with a set of support indices
 (``set_regularity_violations``).
+
+``compose_chain_monomial_maps`` and ``compose_chain_composable_pairs`` are
+the corpus generators before they composed exponent tuples: every chain
+step, and every rejected candidate, a MonomialMap built by from_projective
+or to_projective and joined by compose, drawing from the same seeded rng.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,7 +68,7 @@ from orbidegree.errors import (
     NonIntegralWeightError,
     PreconditionViolatedError,
 )
-from orbidegree.maps import MonomialMap, ThetaHom, underlying_image
+from orbidegree.maps import MonomialMap, ThetaHom, compose, underlying_image
 from orbidegree.roots import ExactCoordinate
 from orbidegree.slices import LiftEvaluation, evaluate_upstairs, orbit_direction, slice_chart
 from orbidegree.spaces import WpsOrbifold, WpsPoint, strata
@@ -528,3 +534,47 @@ def points_on(draw, space):
     if all(c == "0" for c in coords):
         coords[draw(st.integers(min_value=0, max_value=len(coords) - 1))] = "0/1"
     return space.point(*coords)
+
+
+def _chain_coprime_weights(rng, n, max_weight):
+    while True:
+        weights = tuple(rng.randint(1, max_weight) for _ in range(n + 1))
+        if math.gcd(*weights) == 1:
+            return weights
+
+
+def compose_chain_monomial_maps(count, seed=0, max_product=20_000, max_n=2, max_weight=6):
+    """random_monomial_maps as chains of built maps joined by compose."""
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:
+        n = rng.randint(1, max_n)
+        if rng.random() < 0.5:
+            current = MonomialMap.from_projective(_chain_coprime_weights(rng, n, max_weight))
+        else:
+            current = MonomialMap.to_projective(_chain_coprime_weights(rng, n, max_weight))
+        for _ in range(rng.randint(0, 2)):
+            if current.target.weights == tuple(1 for _ in current.target.weights):
+                step = MonomialMap.from_projective(_chain_coprime_weights(rng, n, max_weight))
+            else:
+                step = MonomialMap.to_projective(current.target.weights)
+            candidate = compose(current, step)
+            if candidate.exponent_product > max_product:
+                break
+            current = candidate
+        if current.exponent_product <= max_product:
+            maps.append(current)
+    return maps
+
+
+def compose_chain_composable_pairs(count, seed=0, max_product=20_000, max_weight=5):
+    """random_composable_pairs, each candidate pair tested by building compose(f, g)."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(1, 2)
+        f = MonomialMap.to_projective(_chain_coprime_weights(rng, n, max_weight))
+        g = MonomialMap.from_projective(_chain_coprime_weights(rng, n, max_weight))
+        if compose(f, g).exponent_product <= max_product:
+            pairs.append((f, g))
+    return pairs

@@ -329,7 +329,7 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
 
     def failing_suite(seed, cap):
         report = PropertyReport("broken", "a deliberately failing suite")
-        report.record(False, {"witness": "injected"})
+        report.record(False, lambda: {"witness": "injected"})
         return [report]
 
     monkeypatch.setitem(verify_mod.SUITES, "broken", failing_suite)

@@ -139,6 +139,21 @@ def test_smooth_values_have_smooth_preimages():
         smooth_preimage_check(g, g.target.axis_point(0))  # smooth but critical
 
 
+@settings(deadline=None, max_examples=100)
+@given(maps_with_values())
+def test_smooth_regular_values_always_have_smooth_preimages(case):
+    # the lemma in smooth_preimage_check's docstring: it never answers False
+    f, _ = case
+    n = len(f.target.weights)
+    for support in itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(1, n + 1)
+    ):
+        y = f.target.support_point(support)
+        if isotropy(y).order == 1 and is_regular_value(f, y):
+            assert smooth_preimage_check(f, y)
+            assert {isotropy(r.point).order for r in preimages(f, y)} == {1}
+
+
 def test_smooth_preimage_check_builds_no_records(monkeypatch):
     def refuse(self, row):
         raise AssertionError("a preimage record was built")

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +122,42 @@ def test_point_validation():
         space.point("0", "0")
     with pytest.raises(ValueError):
         space.point("0/1")
+
+
+@pytest.mark.parametrize("support", [(), (-1,), (3,), (0, 5), (1, 1), (0, 2, 0)])
+def test_support_point_refuses_bad_supports_by_name(support):
+    space = WpsOrbifold((1, 2, 3))
+    with pytest.raises(ValueError, match=rf"support {re.escape(str(support))} is not"):
+        space.support_point(support)
+
+
+@pytest.mark.parametrize("index", [-1, -3, 3, 7])
+def test_axis_point_refuses_indices_out_of_range(index):
+    # a negative index used to wrap round to an axis counted from the end
+    with pytest.raises(ValueError, match=rf"support \({index},\) is not"):
+        WpsOrbifold((1, 2, 3)).axis_point(index)
+
+
+def test_support_point_refuses_non_integer_indices():
+    with pytest.raises(ValueError, match="expected integer support indices"):
+        WpsOrbifold((1, 2, 3)).support_point((1.0,))
+
+
+@settings(deadline=None, max_examples=200)
+@given(coprime_weights(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5)))
+def test_support_point_equals_the_canonicalized_point(weights):
+    space = WpsOrbifold(tuple(weights))
+    n = len(weights)
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            coords = tuple(
+                ExactCoordinate.one() if i in support else ExactCoordinate.zero() for i in range(n)
+            )
+            point = space.support_point(support)
+            assert point == WpsPoint(space, coords)
+            assert point.support == support
+    assert space.all_ones() == space.support_point(tuple(range(n)))
+    assert [space.axis_point(i) for i in range(n)] == [space.support_point((i,)) for i in range(n)]
 
 
 def test_point_equality_is_orbit_equality():

@@ -4,11 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import drawn_maps, strata_regular_support_values
+from oracles import (
+    compose_chain_composable_pairs,
+    compose_chain_monomial_maps,
+    drawn_maps,
+    strata_regular_support_values,
+)
 from orbidegree import spaces, verify
 from orbidegree.circle import CircleMap, CirclePreimage, covering_degree
 from orbidegree.errors import EnumerationCapExceededError
 from orbidegree.maps import MonomialMap
+from orbidegree.roots import ExactCoordinate
+from orbidegree.spaces import WpsOrbifold, WpsPoint
 from orbidegree.verify import (
     check_covering,
     check_local_constancy,
@@ -48,17 +55,79 @@ def test_regular_support_values_build_points_only_for_regular_supports(monkeypat
     # from CP2 onto CP2(1,1,5): a value is regular iff its support holds index 2
     f = MonomialMap.from_projective((1, 1, 5))
     built = []
-    real = verify.WpsPoint
+    real = WpsOrbifold.support_point
 
-    def counted(space, coords):
-        built.append(coords)
-        return real(space, coords)
+    def counted(space, support):
+        built.append(support)
+        return real(space, support)
 
-    monkeypatch.setattr(verify, "WpsPoint", counted)
+    monkeypatch.setattr(WpsOrbifold, "support_point", counted)
     values = regular_support_values(f)
     # strata order: singular dimension 4 (supports by size, then lexicographic), then 0
     assert [y.support for y in values] == [(0, 2), (1, 2), (0, 1, 2), (2,)]
-    assert len(built) == len(values)
+    assert built == [y.support for y in values]
+
+
+def test_support_values_skip_the_canonical_form(monkeypatch):
+    f = MonomialMap.from_projective((1, 1, 5))
+    expected = check_value_independence(f).to_json()
+    values = regular_support_values(f)
+
+    def refuse(weights, coords):
+        raise AssertionError("a support point went through the canonical form")
+
+    monkeypatch.setattr(spaces, "_canonical_coords", refuse)
+    space = WpsOrbifold((2, 3, 5))
+    assert space.all_ones().coords == (ExactCoordinate.one(),) * 3
+    assert space.axis_point(1).coords == (
+        ExactCoordinate.zero(), ExactCoordinate.one(), ExactCoordinate.zero()
+    )
+    assert regular_support_values(f) == values
+    report = check_value_independence(f)
+    assert report.passed and report.to_json() == expected
+
+
+def test_passing_checks_build_no_witness(monkeypatch):
+    f13 = MonomialMap.from_projective((1, 3))
+    twin = MonomialMap.from_descriptor(f13.descriptor())
+    expected = {
+        suite: reports_to_json(run_suite(suite, seed=1))
+        for suite in sorted(verify.SUITES)
+        if suite != "same-underlying"  # its suite builds a map from a descriptor
+    }
+
+    def refuse(self):
+        raise AssertionError("a witness was built for a passing case")
+
+    monkeypatch.setattr(MonomialMap, "descriptor", refuse)
+    monkeypatch.setattr(WpsPoint, "encode", refuse)
+    assert check_same_underlying(f13, twin).passed
+    for suite, reports in expected.items():
+        assert all(r["passed"] for r in reports)
+        assert reports_to_json(run_suite(suite, seed=1)) == reports
+
+
+def test_injected_failures_record_the_same_witnesses(monkeypatch):
+    f = MonomialMap.from_projective((1, 1, 5))
+    real = verify.weighted_cardinality
+    # one wrong count: the axis value of value independence, the third twist of local constancy
+    wrong = {f.target.axis_point(2), f.target.point("3/5", "1/5", "4/5")}
+
+    def miscount(f, y, cap):
+        return real(f, y, cap) + (y in wrong)
+
+    monkeypatch.setattr(verify, "weighted_cardinality", miscount)
+    descriptor = {"q": [1, 1, 1], "r": [1, 1, 5], "e": [1, 1, 5]}
+    independence = check_value_independence(f)
+    assert independence.cases == 4
+    assert independence.failures == [
+        {"map": descriptor, "value": "0,0,0/1", "count": 6, "expected": 5}
+    ]
+    constancy = check_local_constancy(f, f.target.all_ones(), perturbations=4)
+    assert constancy.cases == 4
+    assert constancy.failures == [
+        {"map": descriptor, "value": "0/1,3/5,4/5", "count": 6, "expected": 5}
+    ]
 
 
 def test_value_independence_builds_no_strata_report(monkeypatch):
@@ -139,6 +208,27 @@ def test_corpus_generators_deterministic():
     assert a != c
     pairs = random_composable_pairs(5, seed=4)
     assert all(f.target == g.source for f, g in pairs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=6),
+    max_product=st.integers(min_value=20, max_value=30_000),
+    max_n=st.integers(min_value=1, max_value=3),
+    max_weight=st.integers(min_value=1, max_value=7),
+)
+def test_generators_draw_the_compose_chain_maps(seed, count, max_product, max_n, max_weight):
+    maps = compose_chain_monomial_maps(count, seed, max_product, max_n, max_weight)
+    pairs = compose_chain_composable_pairs(count, seed, max_product, max_weight)
+
+    def refuse(f, g):
+        raise AssertionError("a generated chain went through compose")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "compose", refuse)
+        assert random_monomial_maps(count, seed, max_product, max_n, max_weight) == maps
+        assert random_composable_pairs(count, seed, max_product, max_weight) == pairs
 
 
 def test_corpus_respects_exponent_bound():
