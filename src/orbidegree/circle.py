@@ -131,6 +131,9 @@ class CircleMap:
                 raise ValueError(f"{self.kind} requires the reflection quotient as domain")
             if self.power != 1:
                 raise ValueError(f"{self.kind} has no power, got power={self.power}")
+            # flat_odd sends theta to -f(theta), which only the reflection identifies with f(theta)
+            if self.kind == "flat_odd" and not self.codomain.is_reflection:
+                raise ValueError("flat_odd requires the reflection quotient as codomain")
         else:
             if self.domain.is_reflection or self.codomain.is_reflection:
                 raise ValueError("power maps act between rotation quotients")
@@ -558,8 +561,9 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     above, below = circle_eval(m, np.add.outer((SLOPE_STEP, -SLOPE_STEP), roots))
     slopes = _wrap(above - below)
     slopes /= 2.0 * SLOPE_STEP
-    critical = (np.abs(slopes) <= DERIVATIVE_THRESHOLD).nonzero()[0][::-1]
-    critical_of = dict(zip(root_owner[critical].tolist(), critical.tolist()))  # first per value
+    critical = np.flatnonzero(np.abs(slopes) <= DERIVATIVE_THRESHOLD)
+    # the rows are sorted by value, so the first critical row is the first value's
+    critical_value = int(root_owner[critical[0]]) if len(critical) else len(psis)
 
     # orbits of each value in increasing angle, each read at its smallest
     # upstairs root, so the choice between the two reflection-symmetric roots
@@ -580,36 +584,32 @@ def circle_degrees(m: CircleMap, values) -> list[CircleDegreeResult]:
     point_owner = root_owner[leaders]
     isotropy = m.domain.isotropy_order(angles)
 
-    # sum of |G_value| / |G_point| over each value's points, over a common denominator
+    # twice the sum of |G_value| / |G_point| per value: every order is 1 or 2
     n = len(psis)
-    scale = np.ones(n, dtype=np.int64)
-    np.lcm.at(scale, point_owner, isotropy)
-    numerator = np.zeros(n, dtype=np.int64)
-    np.add.at(numerator, point_owner, value_isotropy[point_owner] * scale[point_owner] // isotropy)
-    total, remainder = np.divmod(numerator, scale)
+    doubled = np.bincount(
+        point_owner, weights=2 * value_isotropy[point_owner] // isotropy, minlength=n
+    ).astype(np.int64).tolist()
 
     bounds = point_owner.searchsorted(np.arange(n + 1)).tolist()
     columns = (angles, np.where(slopes[leaders] > 0, 1, -1), isotropy)
     for column in columns:
         column.flags.writeable = False
-    scale, numerator, total = scale.tolist(), numerator.tolist(), total.tolist()
     domain_note = ("[0, pi], endpoints carry isotropy 2" if m.domain.is_reflection
                    else f"[0, 2*pi/{m.domain.order})")
     results = []
     for v in range(failed):
-        if v in critical_of:
-            i = critical_of[v]
+        if v == critical_value:
+            i = critical[0]
             raise CriticalValueError(
                 f"preimage at theta={roots[i]:.6f} has derivative {slopes[i]:.3g}"
             )
-        if remainder[v]:
-            raise NonIntegralWeightError(
-                f"weighted count {numerator[v]}/{scale[v]} is not an integer"
-            )
+        total, odd = divmod(doubled[v], 2)
+        if odd:
+            raise NonIntegralWeightError(f"weighted count {doubled[v]}/2 is not an integer")
         rows = slice(bounds[v], bounds[v + 1])
         results.append(CircleDegreeResult(
-            weighted_count=total[v],
-            mod2=total[v] % 2,
+            weighted_count=total,
+            mod2=total % 2,
             preimages=CirclePreimageSet(*(column[rows] for column in columns), domain_note),
         ))
     if failure is not None:

@@ -34,8 +34,7 @@ from .errors import (
     WeightMismatchError,
 )
 from .maps import MonomialMap
-from .roots import ExactCoordinate
-from .spaces import CircleQuotient, WpsOrbifold, WpsPoint, strata
+from .spaces import CircleQuotient, WpsOrbifold, strata
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -112,11 +111,6 @@ def _parse_weights(text: str, flag: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from exc
-
-
-def _parse_value(text: str, space: WpsOrbifold) -> WpsPoint:
-    coords = tuple(ExactCoordinate.parse(part) for part in text.split(","))
-    return WpsPoint(space, coords)
 
 
 # stands in for each per-point integer while the record template is dumped
@@ -203,7 +197,7 @@ def _build_map(args: argparse.Namespace) -> MonomialMap:
 
 def _cmd_degree(args: argparse.Namespace, config: CliConfig) -> int:
     f = _build_map(args)
-    y = _parse_value(args.value, f.target) if args.value else None
+    y = f.target.point(*args.value.split(",")) if args.value else None
     result: DegreeResult = degree(f, y, cap=config.cap, include_preimages=False)
     if config.format == "json":
         print(_dumps_with_preimages(result.to_json(), result.preimage_columns()))
@@ -214,7 +208,7 @@ def _cmd_degree(args: argparse.Namespace, config: CliConfig) -> int:
 
 def _cmd_preimages(args: argparse.Namespace, config: CliConfig) -> int:
     f = _build_map(args)
-    y = _parse_value(args.value, f.target)
+    y = f.target.point(*args.value.split(","))
     columns = preimage_columns(f, y, cap=config.cap)
     if config.format == "json":
         print(_dumps_with_preimages({"map": f.descriptor(), "value": y.to_json()}, columns))
@@ -234,12 +228,13 @@ def _cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; every option defaults to None."""
+    """The argument parser, built once per process: each command takes only the
+    options it reads, and every option defaults to None."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=None)
     common.add_argument("--config", help="JSON file with CliConfig overrides")
-    common.add_argument("--cap", type=int, default=None, help="enumeration cap")
-    common.add_argument("--seed", type=int, default=None, help="random seed for suites")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=None, help="enumeration cap")
 
     parser = argparse.ArgumentParser(prog="orbidegree")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("degree", _cmd_degree, False),
         ("preimages", _cmd_preimages, True),
     ):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[capped])
         p.add_argument("--q", required=True, help="source weights")
         p.add_argument("--r", required=True, help="target weights")
         p.add_argument("--e", required=True, help="exponents; d is derived")
@@ -264,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.set_defaults(func=func)
 
-    p_verify = sub.add_parser("verify", parents=[common])
+    p_verify = sub.add_parser("verify", parents=[capped])
+    p_verify.add_argument("--seed", type=int, default=None, help="random seed for suites")
     p_verify.add_argument(
         "suite",
         nargs="?",

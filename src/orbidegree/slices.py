@@ -44,8 +44,7 @@ FRAME_TOL = 1e-12
 
 def sphere_point(x: WpsPoint) -> np.ndarray:
     """Unit-norm complex representative of an exact point."""
-    z = np.array(x.cvalues(), dtype=complex)
-    return z / np.linalg.norm(z)
+    return _normalize(np.array(x.cvalues(), dtype=complex))
 
 
 # _to_real, _to_complex and _normalize act along the last axis: on one vector or on rows

@@ -15,7 +15,8 @@ support and zeros elsewhere are already the least tuple of their orbit.
 The isotropy order and the singular dimension of a point depend only on its
 support (the indices of its nonzero coordinates): support_isotropy_order and
 support_singular_dimension compute them from (weights, support), and
-isotropy, singular_dimension and strata all call them.
+isotropy, singular_dimension and strata all call them.  strata_supports walks
+every support in strata order; strata groups that walk by singular dimension.
 
 Circle quotients S^1 // Z_k (free rotations) and S^1 // Z_2 (reflection, a
 closed interval with two order-2 endpoints) are the one-dimensional model
@@ -234,6 +235,15 @@ def support_singular_dimension(weights: tuple[int, ...], support: tuple[int, ...
     return 2 * sum(1 for j, w in enumerate(weights) if j != support[0] and w % order == 0)
 
 
+def strata_supports(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nonempty support of CP(weights) in strata() order: by descending
+    singular dimension, then by size, then lexicographically."""
+    n = len(weights)
+    walk = [sup for size in range(1, n + 1) for sup in itertools.combinations(range(n), size)]
+    # sorted is stable, so each dimension keeps the walk's size-then-lexicographic order
+    return sorted(walk, key=lambda sup: -support_singular_dimension(weights, sup))
+
+
 @dataclass(frozen=True)
 class IsotropyGroup:
     """Cyclic isotropy Z_order."""
@@ -372,22 +382,19 @@ def strata(space: WpsOrbifold | CircleQuotient) -> StrataReport:
         return _circle_strata(space)
 
     weights = space.weights
-    n1 = len(weights)
-    by_sdim: dict[int, list[StratumComponent]] = {}
-    for size in range(1, n1 + 1):
-        for sup in itertools.combinations(range(n1), size):
-            comp = StratumComponent(
-                support=sup,
-                isotropy_order=support_isotropy_order(weights, sup),
-                description=f"points with support {set(sup)}",
+    records = []
+    for sdim, group in itertools.groupby(
+        strata_supports(weights), key=lambda sup: support_singular_dimension(weights, sup)
+    ):
+        components = tuple(
+            StratumComponent(
+                sup, support_isotropy_order(weights, sup), f"points with support {set(sup)}"
             )
-            by_sdim.setdefault(support_singular_dimension(weights, sup), []).append(comp)
-    records = tuple(
-        StratumRecord(sdim, tuple(by_sdim[sdim]), open_dense=(sdim == space.dimension))
-        for sdim in sorted(by_sdim, reverse=True)
-    )
+            for sup in group
+        )
+        records.append(StratumRecord(sdim, components, open_dense=(sdim == space.dimension)))
     codim1_empty = all(r.sdim != space.dimension - 1 for r in records)
-    return StrataReport(records, codim1_empty=codim1_empty, orientable=True)
+    return StrataReport(tuple(records), codim1_empty=codim1_empty, orientable=True)
 
 
 def _circle_strata(space: CircleQuotient) -> StrataReport:

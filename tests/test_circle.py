@@ -35,6 +35,7 @@ from orbidegree.errors import (
     OrbidegreeError,
     PreconditionViolatedError,
 )
+from orbidegree.spaces import CircleQuotient
 
 
 @pytest.fixture
@@ -123,6 +124,21 @@ def test_fold_and_flat_kinds_refuse_a_power():
     for kind, codomain in (("fold", rotation), ("flat_even", reflection), ("flat_odd", reflection)):
         with pytest.raises(ValueError, match="has no power"):
             CircleMap(kind, reflection, codomain, power=9)
+
+
+def test_flat_odd_descends_only_to_the_reflection_quotient():
+    # flat_odd sends theta to -f(theta), which is neither f(theta) nor
+    # f(theta) + pi: only the reflection identifies it with f(theta).  Onto
+    # S^1 // Z_k it built and counted k at every value.
+    reflection = CircleQuotient.reflection()
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="flat_odd requires the reflection quotient"):
+            CircleMap("flat_odd", reflection, CircleQuotient.rotation(k))
+    assert CircleMap("flat_odd", reflection, reflection) == CircleMap.flat_odd()
+    # the trivial homomorphism of fold and flat_even lands in any codomain
+    for kind in ("fold", "flat_even"):
+        for codomain in (reflection, CircleQuotient.rotation(1), CircleQuotient.rotation(3)):
+            assert CircleMap(kind, reflection, codomain).codomain == codomain
 
 
 def test_a_power_that_is_not_an_integer_is_refused():

@@ -541,9 +541,10 @@ def _cli_argv(draw):
         args = ["--q", field("q", _csv(q)), "--r", field("r", _csv(r)), "--e", field("e", _csv(e))]
         if command == "preimages" or draw(st.booleans()):
             args += ["--value", field("value", value)]
-    args += ["--cap", field("cap", "10000")]
+    if command != "strata":  # each command is given only the options it reads
+        args += ["--cap", field("cap", "10000")]
     for flag, good in (("format", draw(st.sampled_from(["json", "text"]))), ("seed", "3")):
-        if flag in broken or draw(st.booleans()):
+        if (flag in broken or draw(st.booleans())) and (flag != "seed" or command == "verify"):
             args += ["--" + flag, field(flag, good)]
     return [command, *args]
 

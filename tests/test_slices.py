@@ -279,6 +279,53 @@ def test_newton_iteration_cap_raises(monkeypatch):
         numeric_jacobian(f, x)
 
 
+@pytest.mark.parametrize("turn, why", [
+    (1j, "zero slope"),  # Re <w, c> is exactly 0, so the first Newton step has no slope
+    (np.exp(1j * (np.pi / 2 - 1e-3)), "phi leaves its window"),  # first step: phi = -tan
+])
+def test_phase_correction_refuses_a_stalled_newton_step(monkeypatch, turn, why):
+    # the image of y, turned by nearly a quarter turn against the image of x,
+    # takes Newton from phi = 0 to its two refusals other than the iteration cap
+    f = MonomialMap.identity(WpsOrbifold((1, 1)))
+    x = sphere_point(f.source.all_ones())
+    image, calls = slices.evaluate_upstairs, []
+
+    def turned(f, z):
+        calls.append(z)
+        return image(f, z) * (turn if len(calls) == 2 else 1.0)  # slice_lift maps x, then y
+
+    monkeypatch.setattr(slices, "evaluate_upstairs", turned)
+    with pytest.raises(NewtonDivergedError):
+        slice_lift(f, x, x)
+    assert len(calls) == 2
+
+
+def test_a_negatively_oriented_qr_frame_is_flipped(monkeypatch):
+    # numpy's QR has not been seen to return a negatively oriented frame, so
+    # one is forced: holomorphic maps must still get sign +1
+    qr, flips = np.linalg.qr, []
+
+    def negative_qr(a, mode):
+        q, r = qr(a, mode=mode)
+        if np.linalg.det(np.vstack([a.T, q[:, 2:].T])) > 0:
+            q[:, -1] *= -1.0
+            flips.append(True)
+        return q, r
+
+    maps = [
+        MonomialMap.identity(WpsOrbifold((1, 2))),
+        MonomialMap.from_projective((1, 3)),
+        MonomialMap.to_projective((2, 3, 5)),
+    ]
+    points = [sphere_point(f.source.all_ones()) for f in maps]
+    frames = [slice_chart(x, f.source.weights).frame for f, x in zip(maps, points)]
+    monkeypatch.setattr(np.linalg, "qr", negative_qr)
+    for f, x, frame in zip(maps, points, frames):
+        assert np.array_equal(slice_chart(x, f.source.weights).frame, frame)
+        assert numeric_jacobian(f, x).sign == 1
+    assert flips
+
+
 def test_numeric_jacobian_builds_two_charts_and_no_lift(monkeypatch):
     charts = []
 

@@ -25,6 +25,8 @@ from orbidegree.spaces import (
     isotropy,
     singular_dimension,
     strata,
+    strata_supports,
+    support_singular_dimension,
 )
 
 
@@ -262,6 +264,17 @@ def test_strata_components_equal_the_chart_weight_forms(weights):
             point = space.point(*("0/1" if i in comp.support else "0" for i in range(len(weights))))
             assert comp.isotropy_order == chart_isotropy(point).order
             assert record.sdim == chart_singular_dimension(point)
+
+
+@settings(deadline=None, max_examples=100)
+@given(weight_tuples)
+def test_strata_supports_are_the_strata_supports_in_order(weights):
+    walk = strata_supports(weights)
+    report = strata(WpsOrbifold(weights))
+    assert walk == [c.support for r in report.records for c in r.components]
+    # every nonempty support once, by descending singular dimension, size, then lexicographically
+    keys = [(-support_singular_dimension(weights, sup), len(sup), sup) for sup in walk]
+    assert keys == sorted(set(keys)) and len(keys) == 2 ** len(weights) - 1
 
 
 def test_strata_reflection_quotient():

@@ -5,7 +5,8 @@ several seeds runs every suite (the circle engine through its counterexample,
 covering and same-underlying checks), and the `degree`/`preimages` commands
 cover JSON and text output, int64 and object-dtype columns and the error
 exits 2, 3, 4 and 5, which print nothing to stdout.  The `strata` commands pin
-the stratification of weighted projective spaces and circle quotients.
+the stratification of weighted projective spaces and circle quotients.  A
+command given an option it does not read exits 2.
 """
 
 import contextlib
@@ -57,6 +58,10 @@ CASES = [
     ("verify value-independence --cap 1", 5, EMPTY),  # the suites' fibres exceed it
     ("verify counterexample --cap 0", 0,  # circle maps enumerate no fibre
      "9b489894cac9dfefea3479362641e15eaad2d826f7353f8745fd76509753e27d"),
+    # a command refuses the options it does not read
+    ("strata --wps 1,3 --seed 3", 2, EMPTY),
+    ("strata --wps 1,3 --cap 3", 2, EMPTY),
+    ("degree --q 1,1 --r 1,3 --e 1,3 --seed 3", 2, EMPTY),
 ]
 
 
