@@ -18,6 +18,10 @@ spaces.canonical_numerators.  The columns are int64 while every intermediate
 fits, and Python-int object arrays otherwise, so they never wrap.  Point
 objects are built only for callers that ask for records.
 
+A fibre's point count is the product of its stabilizer-chain bounds
+(orbits.chain_bounds), so weighted_cardinality counts without building the
+coset codes; degree and the preimage calls build them.
+
 The closed form (prod_i e_i) / d is the fast path; orbit enumeration is the
 trusted oracle.  They are never silently swapped: enumeration beyond the cap
 raises instead of falling back to the formula.
@@ -36,7 +40,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .maps import MonomialMap
-from .orbits import _INT64_MAX, coset_minima, decode
+from .orbits import _INT64_MAX, chain_bounds, coset_minima, decode
 from .roots import ExactCoordinate, RootOfUnity
 from .spaces import WpsOrbifold, WpsPoint, canonical_numerators, isotropy, support_isotropy_order
 
@@ -105,15 +109,25 @@ class DegreeResult:
         return data
 
 
+def _critical_indices(f: MonomialMap, support: tuple[int, ...]) -> list[int]:
+    """The coordinates off ``support`` whose exponent exceeds 1: a value with
+    this support is regular iff there are none."""
+    return [j for j, e in enumerate(f.exponents) if e > 1 and j not in support]
+
+
 def support_regularity(f: MonomialMap, support: tuple[int, ...]) -> RegularityCertificate:
     """The certificate shared by every value of f with this support."""
-    violations = tuple((j, e) for j, e in enumerate(f.exponents) if j not in support and e > 1)
+    violations = tuple((j, f.exponents[j]) for j in _critical_indices(f, support))
     return RegularityCertificate(support, violations)
 
 
-def regularity(f: MonomialMap, y: WpsPoint) -> RegularityCertificate:
+def _check_on_target(f: MonomialMap, y: WpsPoint) -> None:
     if y.space != f.target:
         raise ValueError(f"value lives in {y.space}, not in the target {f.target}")
+
+
+def regularity(f: MonomialMap, y: WpsPoint) -> RegularityCertificate:
+    _check_on_target(f, y)
     return support_regularity(f, y.support)
 
 
@@ -123,19 +137,21 @@ def is_regular_value(f: MonomialMap, y: WpsPoint) -> bool:
 
 @dataclass(frozen=True)
 class _Fibre:
-    """Solved fibre data: coset representatives plus the shared arithmetic context."""
+    """Solved fibre data: the chain bounds, the coset representatives when a
+    caller needs points, and the shared arithmetic context."""
 
     space: WpsOrbifold  # the source space the preimage points live in
     support: tuple[int, ...]
-    codes: np.ndarray
+    bounds: tuple[int, ...]  # stabilizer-chain bounds (orbits.chain_bounds)
     sub_exponents: tuple[int, ...]
     value_isotropy: int  # gcd of target weights over the support
     point_isotropy: int  # gcd of source weights over the support
-    certificate: RegularityCertificate
+    codes: np.ndarray | None = None  # sorted coset representatives, None on the count path
 
     @property
     def count(self) -> int:
-        return len(self.codes)
+        """The number of points: one per coset, prod(bounds) by the chain's order formula."""
+        return math.prod(self.bounds)
 
     @property
     def weight(self) -> int:
@@ -148,22 +164,29 @@ class _Fibre:
         return w
 
 
-def _solve_fibre(f: MonomialMap, y: WpsPoint, cap: int | None) -> _Fibre:
-    cert = regularity(f, y)
-    if not cert.regular:
+def _solve_fibre(f: MonomialMap, y: WpsPoint, cap: int | None, codes: bool = False) -> _Fibre:
+    """The fibre over the regular value y; its coset codes too when ``codes``."""
+    _check_on_target(f, y)
+    sup = y.support
+    critical = _critical_indices(f, sup)
+    if critical:
         raise NotRegularError(
-            f"{y} is a critical value: exponent > 1 off the support at "
-            f"indices {[i for i, _ in cert.violations]}"
+            f"{y} is a critical value: exponent > 1 off the support at indices {critical}"
         )
-    sup = cert.support
-    q = f.source.weights
     r = f.target.weights
     e_sub = tuple(f.exponents[i] for i in sup)
     g_val = support_isotropy_order(r, sup)
-    m_pt = support_isotropy_order(q, sup)
     shift = tuple((r[i] // g_val) % f.exponents[i] for i in sup)
-    codes = coset_minima(e_sub, shift, cap)
-    return _Fibre(f.source, sup, codes, e_sub, g_val, m_pt, cert)
+    bounds = chain_bounds(e_sub, shift, cap)
+    return _Fibre(
+        f.source,
+        sup,
+        bounds,
+        e_sub,
+        g_val,
+        support_isotropy_order(f.source.weights, sup),
+        coset_minima(e_sub, shift, cap) if codes else None,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +254,7 @@ def preimage_columns(
 
     Rows follow the sorted canonical representatives of the fibre cosets.
     """
-    return _columns(y, _solve_fibre(f, y, cap))
+    return _columns(y, _solve_fibre(f, y, cap, codes=True))
 
 
 def preimages(
@@ -250,7 +273,9 @@ def weighted_cardinality(
 ) -> int:
     """Sum of |G_y|/|G_x| over the fibre of the regular value y.
 
-    Every point carries the same weight, checked to be an integer rather than rounded.
+    Every point carries the same weight, checked to be an integer rather than
+    rounded.  The points are counted from the fibre's chain bounds, so no
+    coset code is built.
     """
     fibre = _solve_fibre(f, y, cap)
     return fibre.count * fibre.weight
@@ -269,7 +294,7 @@ def degree(
     """
     if y is None:
         y = f.target.all_ones()
-    fibre = _solve_fibre(f, y, cap)
+    fibre = _solve_fibre(f, y, cap, codes=True)
     count = fibre.count * fibre.weight
     records = _columns(y, fibre).records() if include_preimages else None
     return DegreeResult(
@@ -277,7 +302,7 @@ def degree(
         mod2=count % 2,
         oriented=count,  # holomorphic chart lifts: every sign is +1
         value=y,
-        certificate=fibre.certificate,
+        certificate=RegularityCertificate(fibre.support, ()),  # _solve_fibre refuses the rest
         preimages=records,
         _fibre=fibre,
     )

@@ -18,7 +18,9 @@ minimal representatives are therefore exactly the tuples with b_i < g_i.
 Their codes are built from one run of place-value multiples per factor with
 g_i > 1, each added to the codes so far in one outer sum; a factor with
 g_i = 1 adds nothing.  They come out sorted, in O(N/L) time and memory for
-N = prod(e) tuples and a subgroup of order L.
+N = prod(e) tuples and a subgroup of order L.  The number of cosets is
+prod(g_i) (the order formula of a stabilizer chain), so chain_bounds counts
+a fibre without building any code.
 """
 
 from __future__ import annotations
@@ -62,14 +64,13 @@ def subgroup_digits(moduli: tuple[int, ...], shift: tuple[int, ...]) -> np.ndarr
     return (t * np.asarray(shift, dtype=np.int64)) % np.asarray(moduli)
 
 
-def coset_minima(
+def chain_bounds(
     moduli: tuple[int, ...], shift: tuple[int, ...], cap: int | None = None
-) -> np.ndarray:
-    """Sorted codes of the lexicographically minimal element of every coset of <shift>.
+) -> tuple[int, ...]:
+    """The stabilizer-chain bound g_i of every factor; the fibre has prod(g_i) cosets.
 
-    The codes are the outer sum of one int64 run 0, p_i, ..., (g_i - 1)*p_i per
-    factor with chain bound g_i > 1 and place value p_i; a fibre of one coset
-    is the single code 0.
+    This is the order formula of the chain: counting the cosets needs no
+    representative.
 
     Raises EnumerationCapExceededError when the fibre size prod(moduli)
     exceeds ``cap``, or when it does not fit the int64 codes.
@@ -91,8 +92,22 @@ def coset_minima(
         raise OrbidegreeError(
             f"cosets of <{shift}> in moduli {moduli} do not tile the fibre; this is a bug"
         )
+    return tuple(bounds)
+
+
+def coset_minima(
+    moduli: tuple[int, ...], shift: tuple[int, ...], cap: int | None = None
+) -> np.ndarray:
+    """Sorted codes of the lexicographically minimal element of every coset of <shift>.
+
+    The codes are the outer sum of one int64 run 0, p_i, ..., (g_i - 1)*p_i per
+    factor with chain bound g_i > 1 and place value p_i; a fibre of one coset
+    is the single code 0.
+
+    Raises as chain_bounds does.
+    """
     codes = None
-    for g, place in zip(bounds, _places(moduli)):
+    for g, place in zip(chain_bounds(moduli, shift, cap), _places(moduli)):
         if g == 1:
             continue  # the factor's only digit is 0
         run = np.arange(0, g * place, place, dtype=np.int64)

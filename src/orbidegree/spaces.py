@@ -16,7 +16,8 @@ The isotropy order and the singular dimension of a point depend only on its
 support (the indices of its nonzero coordinates): support_isotropy_order and
 support_singular_dimension compute them from (weights, support), and
 isotropy, singular_dimension and strata all call them.  strata_supports walks
-every support in strata order; strata groups that walk by singular dimension.
+every support in strata order, sorted once per weight vector; strata groups
+that walk by singular dimension.
 
 Circle quotients S^1 // Z_k (free rotations) and S^1 // Z_2 (reflection, a
 closed interval with two order-2 endpoints) are the one-dimensional model
@@ -26,6 +27,7 @@ codimension-1 singular stratum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -237,11 +239,20 @@ def support_singular_dimension(weights: tuple[int, ...], support: tuple[int, ...
 
 def strata_supports(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every nonempty support of CP(weights) in strata() order: by descending
-    singular dimension, then by size, then lexicographically."""
+    singular dimension, then by size, then lexicographically.
+
+    The walk depends on the weights alone, so it is sorted once per weight
+    vector; each call returns a fresh list.
+    """
+    return list(_strata_walk(tuple(weights)))
+
+
+@functools.lru_cache(maxsize=256)
+def _strata_walk(weights: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     n = len(weights)
     walk = [sup for size in range(1, n + 1) for sup in itertools.combinations(range(n), size)]
     # sorted is stable, so each dimension keeps the walk's size-then-lexicographic order
-    return sorted(walk, key=lambda sup: -support_singular_dimension(weights, sup))
+    return tuple(sorted(walk, key=lambda sup: -support_singular_dimension(weights, sup)))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from .degree import (
     weighted_cardinality,
 )
 from .maps import MonomialMap, compose, projective_exponents
-from .roots import RootOfUnity
-from .spaces import WpsOrbifold, WpsPoint, strata_supports
+from .roots import ExactCoordinate, RootOfUnity
+from .spaces import WpsOrbifold, WpsPoint, canonical_numerators, strata_supports
 
 
 @dataclass
@@ -130,25 +130,52 @@ def regular_support_values(f: MonomialMap) -> list[WpsPoint]:
     ]
 
 
+def _twisted_values(y: WpsPoint, perturbations: int) -> list[WpsPoint]:
+    """y with coordinate i turned by j*(i + 1)/(perturbations + 1), for j = 1..perturbations.
+
+    Each value is built in integers: the turns of its support coordinates are
+    numerators over one denominator, put in canonical form by
+    spaces.canonical_numerators and reduced to lowest terms, so no point
+    goes through the constructor's canonical form.
+    """
+    space, sup = y.space, y.support
+    q = space.weights
+    roots = [y.coords[i].root for i in sup]
+    order = perturbations + 1
+    den = q[sup[0]] * math.lcm(order, *[root.order for root in roots])
+    step = den // order
+    values = []
+    for j in range(1, order):
+        numerators = [
+            root.num * (den // root.order) + j * (i + 1) * step for i, root in zip(sup, roots)
+        ]
+        coords = list(y.coords)
+        for i, n in zip(sup, canonical_numerators(q, sup, numerators, den)):
+            g = math.gcd(n, den)
+            coords[i] = ExactCoordinate(RootOfUnity._from_reduced(n // g, den // g))
+        values.append(WpsPoint._from_canonical(space, tuple(coords)))
+    return values
+
+
 def check_local_constancy(
     f: MonomialMap,
     y: WpsPoint,
     perturbations: int = 8,
     cap: int | None = DEFAULT_ENUMERATION_CAP,
 ) -> PropertyReport:
-    """Weighted counts at same-support phase perturbations of y all agree."""
+    """Weighted counts at same-support phase perturbations of y all agree.
+
+    Raises ValueError for fewer than one perturbation: a check with no case
+    would pass without testing anything.
+    """
+    if perturbations < 1:
+        raise ValueError(f"local constancy needs perturbations >= 1, got {perturbations}")
     report = PropertyReport(
         "local-constancy",
         "the weighted preimage count is constant on nearby regular values",
     )
     base = weighted_cardinality(f, y, cap)
-    order = perturbations + 1
-    for j in range(1, order):
-        twist = RootOfUnity(j, order)
-        coords = tuple(
-            c if c.is_zero else c.times(twist ** (i + 1)) for i, c in enumerate(y.coords)
-        )
-        nearby = WpsPoint(f.target, coords)
+    for nearby in _twisted_values(y, perturbations):
         count = weighted_cardinality(f, nearby, cap)
         report.record(
             count == base,

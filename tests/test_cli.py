@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _divisors, coordinate_turns, loop_canonical_turns, maps_with_values
+from orbidegree import verify as verify_mod
 from orbidegree.cli import build_parser, main
 from orbidegree.degree import degree, degree_closed_form, preimages
 from orbidegree.maps import MonomialMap
@@ -324,7 +325,6 @@ def test_unknown_suite_exit_2(capsys):
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):
-    import orbidegree.verify as verify_mod
     from orbidegree.verify import PropertyReport
 
     def failing_suite(seed, cap):
@@ -337,6 +337,37 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert code == 1
     reports = json.loads(out)
     assert reports[0]["failures"] == [{"witness": "injected"}]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("suite", sorted(verify_mod.SUITES) + ["all"])
+def test_verify_report_writer_equals_json_dumps(capsys, suite, seed):
+    code, out, _ = run_cli(capsys, "verify", suite, "--seed", str(seed))
+    reports = verify_mod.run_suite(suite, seed=seed)
+    assert code == (0 if all(r.passed for r in reports) else 1)
+    assert out == json.dumps(verify_mod.reports_to_json(reports), indent=2) + "\n"
+
+
+def test_verify_report_writer_equals_json_dumps_on_failures(capsys, monkeypatch):
+    # the injected miscount of test_verify: nested witnesses in two failing reports
+    f = MonomialMap.from_projective((1, 1, 5))
+    real = verify_mod.weighted_cardinality
+    wrong = {f.target.axis_point(2), f.target.point("3/5", "1/5", "4/5")}
+
+    def miscount(f, y, cap):
+        return real(f, y, cap) + (y in wrong)
+
+    monkeypatch.setattr(verify_mod, "weighted_cardinality", miscount)
+    reports = [
+        verify_mod.check_value_independence(f),
+        verify_mod.check_local_constancy(f, f.target.all_ones(), perturbations=4),
+        verify_mod.check_value_independence(MonomialMap.from_projective((2, 3, 5))),
+    ]
+    assert [r.passed for r in reports] == [False, False, True]
+    monkeypatch.setattr(verify_mod, "run_suite", lambda *args, **kwargs: reports)
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert out == json.dumps(verify_mod.reports_to_json(reports), indent=2) + "\n"
 
 
 def _stdout(argv):

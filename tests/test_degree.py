@@ -1,6 +1,9 @@
 import cmath
+import contextlib
 import importlib
+import io
 import itertools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 
 from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
 
+from orbidegree.cli import main
 from orbidegree.degree import (
     DEFAULT_ENUMERATION_CAP,
     PreimageColumns,
@@ -207,6 +211,96 @@ def test_weighted_cardinality_examples():
     g23 = MonomialMap.to_projective((2, 3))
     assert g23.exponents == (3, 2) and g23.equivariance_degree == 6
     assert weighted_cardinality(g23, g23.target.all_ones()) == 1
+
+
+# Fibres over singular values whose preimages are singular too (|G_x| > 1):
+# (map, value, expected (encoded point, |G_x|, weight) per preimage).
+SINGULAR_PREIMAGE_PINS = [
+    # the identity on CP(1,3) at [0:1]: one point of isotropy 3, weight 3/3
+    (MonomialMap.identity(WpsOrbifold((1, 3))), ("0", "0/1"), [("0,0/1", 3, 1)]),
+    # CP(1,2,2) -> CP(1,4,4) at [0:1:1]: two points of isotropy 2, weight 4/2,
+    # 4 in all, the closed form prod(e)/d
+    (
+        MonomialMap(WpsOrbifold((1, 2, 2)), WpsOrbifold((1, 4, 4)), (1, 2, 2)),
+        ("0", "0/1", "0/1"),
+        [("0,0/1,0/1", 2, 2), ("0,0/1,1/2", 2, 2)],
+    ),
+]
+
+
+def _check_singular_preimage_pins():
+    """Each pin through weighted_cardinality, degree(...).preimages and CLI preimages."""
+    for f, coords, expected in SINGULAR_PREIMAGE_PINS:
+        y = f.target.point(*coords)
+        total = sum(weight for _, _, weight in expected)
+        assert weighted_cardinality(f, y) == total == degree_closed_form(f)
+        result = degree(f, y)
+        assert result.weighted_count == total
+        records = [(r.point.encode(), r.isotropy_order, r.weight) for r in result.preimages]
+        assert records == expected
+        out = io.StringIO()
+        argv = ["preimages", "--value", ",".join(coords)]
+        for flag, weights in zip(("--q", "--r", "--e"), f.descriptor().values()):
+            argv += [flag, ",".join(map(str, weights))]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        records = json.loads(out.getvalue())["preimages"]
+        assert [(r["isotropy"], r["weight"]) for r in records] == [e[1:] for e in expected]
+
+
+def test_singular_preimages_are_pinned():
+    _check_singular_preimage_pins()
+
+
+def test_singular_preimage_pins_catch_a_weight_fault(monkeypatch):
+    # planted fault: one more than |G_y|/|G_x| whenever |G_x| > 1
+    real = degree_module._Fibre.weight.fget
+
+    def faulty(fibre):
+        return real(fibre) + (fibre.point_isotropy > 1)
+
+    monkeypatch.setattr(degree_module._Fibre, "weight", property(faulty))
+    f = MonomialMap.from_projective((1, 3))  # smooth preimages keep their weights
+    assert weighted_cardinality(f, f.target.all_ones()) == 3
+    with pytest.raises(AssertionError):
+        _check_singular_preimage_pins()
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_with_values())
+def test_count_path_equals_codes_path(data):
+    f, y = data
+    columns = preimage_columns(f, y)
+    count = weighted_cardinality(f, y)
+    assert count == degree(f, y, include_preimages=False).weighted_count
+    assert count == len(columns) * columns.weight
+
+
+def test_count_and_codes_paths_refuse_a_cap_with_one_text():
+    g = MonomialMap.to_projective((3, 4, 5))  # fibre is 20*15*12 = 3600 tuples
+    y = g.target.all_ones()
+    texts = set()
+    for solve in (
+        weighted_cardinality,
+        lambda f, y, cap: degree(f, y, cap, include_preimages=False),
+        preimage_columns,
+    ):
+        with pytest.raises(EnumerationCapExceededError) as refusal:
+            solve(g, y, 3599)
+        texts.add(str(refusal.value))
+    assert texts == {"fibre needs 3600 tuples, cap is 3599"}
+
+
+def test_weighted_cardinality_builds_no_codes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset codes were built")
+
+    monkeypatch.setattr(degree_module, "coset_minima", refuse)
+    f = MonomialMap.to_projective((3, 4, 5))
+    assert weighted_cardinality(f, f.target.all_ones()) == 60
+    assert _solve_fibre(f, f.target.all_ones(), None).codes is None
+    with pytest.raises(AssertionError, match="coset codes"):
+        degree(f, include_preimages=False)
 
 
 def test_not_regular_raises():

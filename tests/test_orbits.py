@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbidegree.errors import EnumerationCapExceededError
-from orbidegree.orbits import coset_minima, decode, encode, shift_order, subgroup_digits
+from orbidegree.orbits import (
+    chain_bounds,
+    coset_minima,
+    decode,
+    encode,
+    shift_order,
+    subgroup_digits,
+)
 
 
 def brute_coset_minima(moduli, shift):
@@ -123,6 +130,33 @@ def test_place_value_overflow_raises():
     codes = coset_minima(moduli, (1, 1))
     assert len(codes) == 7
     assert decode(codes, moduli).tolist() == [[0, b] for b in range(7)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=3).filter(
+        lambda moduli: math.prod(moduli) <= 40_000
+    ),
+    st.data(),
+)
+def test_chain_bounds_count_the_coset_minima(moduli, data):
+    moduli = tuple(moduli)
+    shift = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
+    bounds = chain_bounds(moduli, shift)
+    codes = coset_minima(moduli, shift)
+    assert math.prod(bounds) == len(codes)
+    # the representatives are exactly the tuples with digit i below g_i
+    assert np.all(decode(codes, moduli) < np.asarray(bounds))
+
+
+def test_chain_bounds_refuse_as_coset_minima_does():
+    for moduli, shift, cap in (((100, 100), (1, 1), 5000), ((4, 2**62, 4), (1, 1, 1), None)):
+        with pytest.raises(EnumerationCapExceededError) as walk:
+            chain_bounds(moduli, shift, cap)
+        with pytest.raises(EnumerationCapExceededError) as codes:
+            coset_minima(moduli, shift, cap)
+        assert str(walk.value) == str(codes.value)
+    assert chain_bounds((70, 70), (0, 1), cap=4900) == (70, 1)
 
 
 def test_trivial_shift_enumerates_everything():

@@ -277,6 +277,14 @@ def test_strata_supports_are_the_strata_supports_in_order(weights):
     assert keys == sorted(set(keys)) and len(keys) == 2 ** len(weights) - 1
 
 
+def test_strata_supports_returns_a_fresh_list_each_call():
+    walk = strata_supports((1, 2, 2))
+    expected = list(walk)
+    walk.clear()
+    assert strata_supports((1, 2, 2)) == expected
+    assert strata_supports([1, 2, 2]) == expected
+
+
 def test_strata_reflection_quotient():
     report = strata(CircleQuotient.reflection())
     assert report.codim1_empty is False

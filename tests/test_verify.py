@@ -8,13 +8,14 @@ from oracles import (
     compose_chain_composable_pairs,
     compose_chain_monomial_maps,
     drawn_maps,
+    maps_with_values,
     strata_regular_support_values,
 )
 from orbidegree import spaces, verify
 from orbidegree.circle import CircleMap, CirclePreimage, covering_degree
 from orbidegree.errors import EnumerationCapExceededError
 from orbidegree.maps import MonomialMap
-from orbidegree.roots import ExactCoordinate
+from orbidegree.roots import ExactCoordinate, RootOfUnity
 from orbidegree.spaces import WpsOrbifold, WpsPoint
 from orbidegree.verify import (
     check_covering,
@@ -128,6 +129,31 @@ def test_injected_failures_record_the_same_witnesses(monkeypatch):
     assert constancy.failures == [
         {"map": descriptor, "value": "0/1,3/5,4/5", "count": 6, "expected": 5}
     ]
+
+
+@pytest.mark.parametrize("perturbations", [0, -3])
+def test_local_constancy_refuses_a_check_with_no_case(perturbations):
+    f = MonomialMap.from_projective((1, 3))
+    with pytest.raises(ValueError, match=f"got {perturbations}$"):
+        check_local_constancy(f, f.target.all_ones(), perturbations=perturbations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_with_values(), st.integers(min_value=1, max_value=9))
+def test_twisted_values_equal_constructor_built_points(data, perturbations):
+    # the integer path gives the points the constructor's canonical form gives
+    _, y = data
+    order = perturbations + 1
+    expected = [
+        WpsPoint(y.space, tuple(
+            c if c.is_zero else c.times(RootOfUnity(j, order) ** (i + 1))
+            for i, c in enumerate(y.coords)
+        ))
+        for j in range(1, order)
+    ]
+    twisted = verify._twisted_values(y, perturbations)
+    assert twisted == expected
+    assert [p.encode() for p in twisted] == [p.encode() for p in expected]
 
 
 def test_value_independence_builds_no_strata_report(monkeypatch):
