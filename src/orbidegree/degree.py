@@ -20,7 +20,8 @@ objects are built only for callers that ask for records.
 
 A fibre's point count is the product of its stabilizer-chain bounds
 (orbits.chain_bounds), so weighted_cardinality counts without building the
-coset codes; degree and the preimage calls build them.
+coset codes and refuses only the cap; degree and the preimage calls build
+them, so they also refuse a fibre of more than 2**63 - 1 tuples.
 
 The closed form (prod_i e_i) / d is the fast path; orbit enumeration is the
 trusted oracle.  They are never silently swapped: enumeration beyond the cap

@@ -20,7 +20,7 @@ g_i > 1, each added to the codes so far in one outer sum; a factor with
 g_i = 1 adds nothing.  They come out sorted, in O(N/L) time and memory for
 N = prod(e) tuples and a subgroup of order L.  The number of cosets is
 prod(g_i) (the order formula of a stabilizer chain), so chain_bounds counts
-a fibre without building any code.
+a fibre of any size without building any code.
 """
 
 from __future__ import annotations
@@ -53,17 +53,6 @@ def decode(codes: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     return (np.asarray(codes, dtype=np.int64)[:, None] // places) % np.asarray(moduli)
 
 
-def encode(digits: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    return np.asarray(digits, dtype=np.int64) @ np.array(_places(moduli), dtype=np.int64)
-
-
-def subgroup_digits(moduli: tuple[int, ...], shift: tuple[int, ...]) -> np.ndarray:
-    """All elements t*shift of the cyclic subgroup, as an (L, k) digit array."""
-    order = shift_order(moduli, shift)
-    t = np.arange(order, dtype=np.int64)[:, None]
-    return (t * np.asarray(shift, dtype=np.int64)) % np.asarray(moduli)
-
-
 def chain_bounds(
     moduli: tuple[int, ...], shift: tuple[int, ...], cap: int | None = None
 ) -> tuple[int, ...]:
@@ -72,16 +61,11 @@ def chain_bounds(
     This is the order formula of the chain: counting the cosets needs no
     representative.
 
-    Raises EnumerationCapExceededError when the fibre size prod(moduli)
-    exceeds ``cap``, or when it does not fit the int64 codes.
+    Raises EnumerationCapExceededError when the fibre size prod(moduli) exceeds ``cap``.
     """
     size = math.prod(moduli)
     if cap is not None and size > cap:
         raise EnumerationCapExceededError(f"fibre needs {size} tuples, cap is {cap}")
-    if size > _INT64_MAX:
-        raise EnumerationCapExceededError(
-            f"fibre of {size} tuples overflows the int64 tuple codes (at most 2**63 - 1)"
-        )
     bounds = []
     stab = 1
     for e, v in zip(moduli, shift):
@@ -104,10 +88,16 @@ def coset_minima(
     factor with chain bound g_i > 1 and place value p_i; a fibre of one coset
     is the single code 0.
 
-    Raises as chain_bounds does.
+    Raises as chain_bounds does, and also when the fibre does not fit the int64 codes.
     """
+    bounds = chain_bounds(moduli, shift, cap)
+    size = math.prod(moduli)
+    if size > _INT64_MAX:
+        raise EnumerationCapExceededError(
+            f"fibre of {size} tuples overflows the int64 tuple codes (at most 2**63 - 1)"
+        )
     codes = None
-    for g, place in zip(chain_bounds(moduli, shift, cap), _places(moduli)):
+    for g, place in zip(bounds, _places(moduli)):
         if g == 1:
             continue  # the factor's only digit is 0
         run = np.arange(0, g * place, place, dtype=np.int64)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DEFAULT_ENUMERATION_CAP, preimage_columns
+from .degree import DEFAULT_ENUMERATION_CAP, _solve_fibre
 from .errors import IrregularPointError, NewtonDivergedError, PreconditionViolatedError
 from .maps import MonomialMap
 from .roots import ExactCoordinate, RootOfUnity
@@ -75,10 +75,9 @@ def evaluate_upstairs(f: MonomialMap, z: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SliceChart:
-    """Orthonormal frame for the slice at ``base`` under the given weights."""
+    """Orthonormal frame for the slice at ``base`` under the weights it was built for."""
 
     base: np.ndarray  # complex, unit norm
-    weights: tuple[int, ...]
     frame: np.ndarray  # (2n, 2n+2) real rows, orthonormal
 
     @property
@@ -119,7 +118,7 @@ def slice_chart(z: np.ndarray, weights: tuple[int, ...]) -> SliceChart:
                 f"slice frame at {z} is not {what} within {FRAME_TOL}; "
                 "the point must be finite and nonzero"
             )
-    return SliceChart(z, tuple(weights), frame)
+    return SliceChart(z, frame)
 
 
 @dataclass(eq=False)
@@ -261,11 +260,11 @@ def ring_values_through_axis(space: WpsOrbifold, axis: int, order: int) -> list[
 def weighted_count_profile(
     f: MonomialMap, values: list[WpsPoint], cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> list[ArcSample]:
-    """Raw and weighted preimage counts at each sampled regular value."""
+    """Raw and weighted preimage counts at each sampled regular value, from the chain bounds."""
     samples = []
     for y in values:
-        columns = preimage_columns(f, y, cap)
-        samples.append(ArcSample(y, len(columns), len(columns) * columns.weight))
+        fibre = _solve_fibre(f, y, cap)
+        samples.append(ArcSample(y, fibre.count, fibre.count * fibre.weight))
     return samples
 
 

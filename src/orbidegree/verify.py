@@ -21,7 +21,6 @@ import numpy as np
 from .circle import CircleMap, circle_degree2, circle_degrees, circle_eval, covering_degree
 from .degree import (
     DEFAULT_ENUMERATION_CAP,
-    degree,
     degree_closed_form,
     support_regularity,
     weighted_cardinality,
@@ -230,9 +229,7 @@ def check_multiplicativity(
         "degree(g o f) = degree(g) * degree(f) for composable maps",
     )
     composed = compose(f, g)
-    df = degree(f, cap=cap, include_preimages=False).oriented
-    dg = degree(g, cap=cap, include_preimages=False).oriented
-    dgf = degree(composed, cap=cap, include_preimages=False).oriented
+    df, dg, dgf = (weighted_cardinality(h, h.target.all_ones(), cap) for h in (f, g, composed))
     report.record(
         dgf == df * dg,
         lambda: {"f": f.descriptor(), "g": g.descriptor(), "degrees": [df, dg, dgf]},
@@ -243,7 +240,18 @@ def check_multiplicativity(
 def check_same_underlying(
     fa, fb, samples: int = 50, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> PropertyReport:
-    """Maps with equal underlying maps have equal degrees at every common value."""
+    """Maps with equal underlying maps have equal degrees at every common value.
+
+    Raises ValueError for fewer than one sample, whose check would pass without
+    comparing degrees, and for a MonomialMap paired with a CircleMap.
+    """
+    if samples < 1:
+        raise ValueError(f"same underlying needs samples >= 1, got {samples}")
+    if type(fa) is not type(fb):
+        raise ValueError(
+            f"same underlying needs two maps of one kind, got "
+            f"{type(fa).__name__} and {type(fb).__name__}"
+        )
     report = PropertyReport(
         "same-underlying",
         "orbifold maps with the same underlying map have equal degrees",

@@ -43,6 +43,13 @@ support values built a point for every support of strata(), deduplicated by
 a set, and tested each point's regularity with a set of support indices
 (``set_regularity_violations``).
 
+``encode`` and ``subgroup_digits`` are the mixed-radix encoder and the
+subgroup listing that only the coset tests read: codes of digit rows with
+the first factor most significant, and every multiple t*shift of the shift.
+
+``singular_fibres`` draws a map as (q, e), the model that reaches every
+coordinate-power map, and a regular value whose preimages are all singular.
+
 ``compose_chain_monomial_maps`` and ``compose_chain_composable_pairs`` are
 the corpus generators before they composed exponent tuples: every chain
 step, and every rejected candidate, a MonomialMap built by from_projective
@@ -69,6 +76,7 @@ from orbidegree.errors import (
     PreconditionViolatedError,
 )
 from orbidegree.maps import MonomialMap, ThetaHom, compose, underlying_image
+from orbidegree.orbits import shift_order
 from orbidegree.roots import ExactCoordinate
 from orbidegree.slices import LiftEvaluation, evaluate_upstairs, orbit_direction, slice_chart
 from orbidegree.spaces import WpsOrbifold, WpsPoint, strata
@@ -124,6 +132,46 @@ def maps_with_values(draw, max_fibre=400):
             coords.append(f"{draw(st.integers(min_value=0, max_value=order - 1))}/{order}")
     assume(any(c != "0" for c in coords))
     return f, f.target.point(*coords)
+
+
+@st.composite
+def singular_fibres(draw, max_fibre=400):
+    """A map drawn as (q, e) with gcd(q) = 1, a value y and y's support S.
+
+    d = gcd_i(q_i*e_i) and r_i = q_i*e_i/d, so gcd(r) = 1 follows.  The
+    source weights on S share a factor, so gcd(q_S) > 1 and every preimage is
+    a singular point; e_j = 1 off S keeps y regular.
+    """
+    n = draw(st.integers(min_value=2, max_value=4))
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    common = draw(st.integers(min_value=2, max_value=4))
+    q, e, coords = [], [], []
+    for i in range(n):
+        if i in support:
+            q.append(common * draw(st.integers(min_value=1, max_value=3)))
+            e.append(draw(st.integers(min_value=1, max_value=8)))
+            order = draw(st.integers(min_value=1, max_value=12))
+            coords.append(f"{draw(st.integers(min_value=0, max_value=order - 1))}/{order}")
+        else:
+            q.append(draw(st.integers(min_value=1, max_value=6)))
+            e.append(1)
+            coords.append("0")
+    assume(math.gcd(*q) == 1 and math.prod(e) <= max_fibre)
+    d = math.gcd(*(qi * ei for qi, ei in zip(q, e)))
+    r = tuple(qi * ei // d for qi, ei in zip(q, e))
+    f = MonomialMap(WpsOrbifold(tuple(q)), WpsOrbifold(r), tuple(e))
+    return f, f.target.point(*coords), tuple(support)
+
+
+def encode(digits, moduli):
+    places = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
+    return np.asarray(digits, dtype=np.int64) @ np.array(places, dtype=np.int64)
+
+
+def subgroup_digits(moduli, shift):
+    """All elements t*shift of the cyclic subgroup, as an (L, k) digit array."""
+    t = np.arange(shift_order(moduli, shift), dtype=np.int64)[:, None]
+    return (t * np.asarray(shift, dtype=np.int64)) % np.asarray(moduli)
 
 
 def _wrap(delta):

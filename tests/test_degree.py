@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from oracles import coordinate_turns, loop_canonical_turns, maps_with_values
+from oracles import coordinate_turns, loop_canonical_turns, maps_with_values, singular_fibres
 
 from orbidegree.cli import main
 from orbidegree.degree import (
@@ -38,9 +38,11 @@ from orbidegree.errors import (
 from orbidegree.maps import MonomialMap, compose, underlying_image
 from orbidegree.roots import ExactCoordinate
 from orbidegree.spaces import WpsOrbifold, WpsPoint, isotropy
-from orbidegree.verify import random_composable_pairs, random_monomial_maps
+from orbidegree.slices import ring_values_through_axis, weighted_count_profile
+from orbidegree.verify import random_composable_pairs, random_monomial_maps, run_all
 
 degree_module = importlib.import_module("orbidegree.degree")
+orbits_module = importlib.import_module("orbidegree.orbits")
 
 
 def oracle_preimage_count(f, y):
@@ -267,6 +269,18 @@ def test_singular_preimage_pins_catch_a_weight_fault(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
+@given(singular_fibres())
+def test_singular_preimages_across_a_map_family(case):
+    # every preimage has isotropy gcd(q_S) > 1, so the weight |G_y|/|G_x| is tested
+    f, y, support = case
+    order = math.gcd(*(f.source.weights[i] for i in support))
+    assert order > 1
+    assert weighted_cardinality(f, y) == degree_closed_form(f)
+    records = preimages(f, y)
+    assert {(r.isotropy_order, isotropy(r.point).order) for r in records} == {(order, order)}
+
+
+@settings(max_examples=100, deadline=None)
 @given(maps_with_values())
 def test_count_path_equals_codes_path(data):
     f, y = data
@@ -301,6 +315,29 @@ def test_weighted_cardinality_builds_no_codes(monkeypatch):
     assert _solve_fibre(f, f.target.all_ones(), None).codes is None
     with pytest.raises(AssertionError, match="coset codes"):
         degree(f, include_preimages=False)
+
+
+def test_count_calls_build_no_codes(monkeypatch):
+    f13 = MonomialMap.from_projective((1, 3))
+    values = ring_values_through_axis(f13.target, axis=1, order=5)
+    reports, samples = run_all(seed=1), weighted_count_profile(f13, values)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset codes were built")
+
+    monkeypatch.setattr(degree_module, "coset_minima", refuse)
+    monkeypatch.setattr(orbits_module, "coset_minima", refuse)
+    assert run_all(seed=1) == reports
+    assert weighted_count_profile(f13, values) == samples
+
+
+def test_only_the_codes_refuse_a_fibre_past_int64():
+    # 2**64 tuples: counted from the chain bounds, but no int64 code can hold them
+    f = MonomialMap(WpsOrbifold((1, 1)), WpsOrbifold((1, 1)), (2**32, 2**32))
+    y = f.target.all_ones()
+    assert weighted_cardinality(f, y, cap=None) == degree_closed_form(f) == 2**32
+    with pytest.raises(EnumerationCapExceededError, match="overflows the int64 tuple codes"):
+        degree(f, cap=None)
 
 
 def test_not_regular_raises():

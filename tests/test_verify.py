@@ -184,6 +184,23 @@ def test_same_underlying_circle_pair():
     assert report.cases == 11  # pointwise agreement plus the sampled values
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_same_underlying_refuses_a_circle_check_with_no_sample(samples):
+    with pytest.raises(ValueError, match=f"got {samples}$"):
+        check_same_underlying(CircleMap.flat_even(), CircleMap.flat_odd(), samples=samples)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_same_underlying_refuses_a_mixed_pair(swap):
+    pair = [MonomialMap.from_projective((1, 3)), CircleMap.flat_even()]
+    kinds = ["MonomialMap", "CircleMap"]
+    if swap:
+        pair.reverse()
+        kinds.reverse()
+    with pytest.raises(ValueError, match=f"got {kinds[0]} and {kinds[1]}$"):
+        check_same_underlying(*pair)
+
+
 def test_same_underlying_detects_mismatch_with_witness():
     report = check_same_underlying(CircleMap.fold(), CircleMap.flat_even(), samples=3)
     assert not report.passed
