@@ -154,40 +154,6 @@ def _dumps_with_preimages(payload: dict, columns: PreimageColumns) -> str:
     return "".join(out)
 
 
-# one passing report of ``verify``, as json.dumps(reports, indent=2) lays it out
-_PASSED_REPORT = (
-    '  {\n    "name": %s,\n    "statement": %s,\n    "cases": %d,\n'
-    '    "passed": true,\n    "failures": []\n  }'
-)
-
-
-def _dumps_reports(reports: list[verify_mod.PropertyReport]) -> str:
-    """json.dumps(verify.reports_to_json(reports), indent=2), written from a template.
-
-    A passing report has one fixed layout, filled in with its name, statement
-    and case count; each distinct string is quoted once.  A report with
-    failures is dumped in full and indented one level.
-    """
-    if not reports:
-        return "[]"
-    quoted: dict[str, str] = {}
-
-    def quote(text: str) -> str:
-        if text not in quoted:
-            quoted[text] = json.dumps(text)
-        return quoted[text]
-
-    parts = []
-    for report in reports:
-        if report.failures:
-            text = json.dumps(report.to_json(), indent=2)
-            parts.append("  " + text.replace("\n", "\n  "))
-        else:
-            fill = (quote(report.name), quote(report.statement), report.cases)
-            parts.append(_PASSED_REPORT % fill)
-    return "[\n" + ",\n".join(parts) + "\n]"
-
-
 def _cmd_strata(args: argparse.Namespace, config: CliConfig) -> int:
     if (args.wps is None) == (args.circle is None):
         raise ValueError("give exactly one of --wps or --circle")
@@ -254,7 +220,7 @@ def _cmd_preimages(args: argparse.Namespace, config: CliConfig) -> int:
 def _cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
     reports = verify_mod.run_suite(args.suite, seed=config.seed, cap=config.cap)
     if config.format == "json":
-        print(_dumps_reports(reports))
+        print(json.dumps(verify_mod.reports_to_json(reports), indent=2))
     else:
         print(verify_mod.summarize(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED

@@ -147,7 +147,7 @@ class _Fibre:
     sub_exponents: tuple[int, ...]
     value_isotropy: int  # gcd of target weights over the support
     point_isotropy: int  # gcd of source weights over the support
-    codes: np.ndarray | None = None  # sorted coset representatives, None on the count path
+    codes: np.ndarray | None = None  # sorted coset codes, int32 or int64; None on the count path
 
     @property
     def count(self) -> int:

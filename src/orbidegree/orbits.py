@@ -18,9 +18,11 @@ minimal representatives are therefore exactly the tuples with b_i < g_i.
 Their codes are built from one run of place-value multiples per factor with
 g_i > 1, each added to the codes so far in one outer sum; a factor with
 g_i = 1 adds nothing.  They come out sorted, in O(N/L) time and memory for
-N = prod(e) tuples and a subgroup of order L.  The number of cosets is
-prod(g_i) (the order formula of a stabilizer chain), so chain_bounds counts
-a fibre of any size without building any code.
+N = prod(e) tuples and a subgroup of order L.  Every code is below N, so the
+codes are int32 when N <= 2**31 - 1, which halves the bytes of the outer
+sums, and int64 up to N <= 2**63 - 1; a larger fibre is refused.  The
+number of cosets is prod(g_i) (the order formula of a stabilizer chain), so
+chain_bounds counts a fibre of any size without building any code.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .errors import EnumerationCapExceededError, OrbidegreeError
 
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 
 
@@ -48,9 +51,13 @@ def _places(moduli: tuple[int, ...]) -> list[int]:
 
 
 def decode(codes: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """Mixed-radix digits of shape (len(codes), k)."""
+    """Mixed-radix digits of shape (len(codes), k), as int64 for int32 or int64 codes.
+
+    Dividing by the int64 place values promotes int32 codes; they are not
+    first copied to int64.
+    """
     places = np.array(_places(moduli), dtype=np.int64)
-    return (np.asarray(codes, dtype=np.int64)[:, None] // places) % np.asarray(moduli)
+    return (codes[:, None] // places) % np.asarray(moduli)
 
 
 def chain_bounds(
@@ -84,9 +91,10 @@ def coset_minima(
 ) -> np.ndarray:
     """Sorted codes of the lexicographically minimal element of every coset of <shift>.
 
-    The codes are the outer sum of one int64 run 0, p_i, ..., (g_i - 1)*p_i per
+    The codes are the outer sum of one run 0, p_i, ..., (g_i - 1)*p_i per
     factor with chain bound g_i > 1 and place value p_i; a fibre of one coset
-    is the single code 0.
+    is the single code 0.  They are int32 when the fibre has at most
+    2**31 - 1 tuples and int64 otherwise.
 
     Raises as chain_bounds does, and also when the fibre does not fit the int64 codes.
     """
@@ -96,10 +104,11 @@ def coset_minima(
         raise EnumerationCapExceededError(
             f"fibre of {size} tuples overflows the int64 tuple codes (at most 2**63 - 1)"
         )
+    dtype = np.int32 if size <= _INT32_MAX else np.int64  # every code is below size
     codes = None
     for g, place in zip(bounds, _places(moduli)):
         if g == 1:
             continue  # the factor's only digit is 0
-        run = np.arange(0, g * place, place, dtype=np.int64)
+        run = np.arange(0, g * place, place, dtype=dtype)
         codes = run if codes is None else np.add.outer(codes, run).reshape(-1)
-    return np.zeros(1, dtype=np.int64) if codes is None else codes
+    return np.zeros(1, dtype=dtype) if codes is None else codes

@@ -63,7 +63,7 @@ cases = [
 @pytest.mark.parametrize("moduli,shift", cases)
 def test_matches_brute_force(moduli, shift):
     codes = coset_minima(moduli, shift)
-    assert codes.dtype == np.int64 and codes.ndim == 1
+    assert codes.dtype == np.int32 and codes.ndim == 1
     assert np.all(np.diff(codes) > 0)
     assert codes.tolist() == brute_coset_minima(moduli, shift)
 
@@ -77,7 +77,7 @@ def test_matches_brute_force_random(moduli, data):
     moduli = tuple(moduli)
     shift = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
     codes = coset_minima(moduli, shift)
-    assert codes.dtype == np.int64
+    assert codes.dtype == np.int32
     assert codes.tolist() == brute_coset_minima(moduli, shift)
 
 
@@ -92,7 +92,7 @@ def test_subgroup_order_boundary(e):
     # L = 64 and L = 65 go through the same construction: N/L sorted codes
     moduli, shift = (e, e, e), (1, 1, 1)
     codes = coset_minima(moduli, shift)
-    assert codes.dtype == np.int64
+    assert codes.dtype == np.int32
     assert len(codes) == math.prod(moduli) // shift_order(moduli, shift) == e * e
     assert np.all(np.diff(codes) > 0)
 
@@ -114,6 +114,22 @@ def test_representatives_are_distinct_coset_minima(moduli, data):
     assert np.array_equal(cosets.min(axis=1), codes)
     # pairwise distinct cosets that together cover every tuple exactly once
     assert np.array_equal(np.sort(cosets, axis=None), np.arange(math.prod(moduli)))
+
+
+@pytest.mark.parametrize(
+    "moduli,dtype",
+    [
+        ((2, 2**30 - 2), np.int32),  # 2**31 - 4 tuples: every code fits int32
+        ((2, 2**30), np.int64),  # 2**31 tuples: int64 by the fibre size alone
+    ],
+)
+def test_code_dtype_switches_at_2_31_tuples(moduli, dtype):
+    codes = coset_minima(moduli, (1, 1))
+    assert codes.dtype == dtype
+    assert codes.tolist() == [0, 1]
+    digits = decode(codes, moduli)
+    assert digits.dtype == np.int64
+    assert digits.tolist() == [[0, 0], [0, 1]]
 
 
 def test_place_value_overflow_raises():
